@@ -76,7 +76,10 @@ class CommandResult:
 def _default_jobs() -> int:
     env = os.environ.get("DEJEAN_JOBS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"DEJEAN_JOBS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -238,7 +241,12 @@ def _cmd_verify_ew(args) -> CommandResult:
 
 
 def _cmd_verify_binary26(args) -> CommandResult:
-    length, witness = binary_avoidance_longest(args.n, depth_cap=args.depth_cap)
+    try:
+        length, witness = binary_avoidance_longest(args.n, depth_cap=args.depth_cap)
+    except RuntimeError as err:
+        # the search hit the depth cap, so finiteness is not certified
+        payload = {"n": args.n, "depth_cap": args.depth_cap, "error": str(err)}
+        return CommandResult("fail", payload)
     payload = {"n": args.n, "length": length, "witness": witness}
     if args.n != 26:
         return CommandResult("info", payload)
@@ -443,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[list[str]] = None) -> tuple[str, CommandResult]:
     args = build_parser().parse_args(argv)
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        # fill in lazily so --jobs never has to be spelled out
-        args.jobs = _default_jobs()
     try:
+        if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
+            # fill in lazily so --jobs never has to be spelled out
+            args.jobs = _default_jobs()
         return args.command_name, args.handler(args)
     except (ValueError, OSError) as err:
         return args.command_name, CommandResult("fail", {"error": str(err)})

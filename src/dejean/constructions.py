@@ -21,7 +21,7 @@ cutoff.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Optional
 
 from .core_words import WordLike, letters_of
@@ -191,6 +191,9 @@ class Z4Language:
     and any new windows, until nothing new appears.  Whole level words shorter
     than the seed level are kept as extra pieces so short factors are covered
     without leaning on the prefix structure of the levels.
+
+    Factor queries go through one index, length -> frozenset of the distinct
+    factors of that length, filled in on the first probe of each length.
     """
 
     def __init__(self, max_factor_length: int):
@@ -226,7 +229,28 @@ class Z4Language:
                         seen.add(y)
                         frontier.add(y)
         self.pieces: frozenset[str] = frozenset(pieces)
-        self._haystack = "#".join(sorted(pieces))
+        self._by_length: dict[int, frozenset[str]] = {}
+
+    def _factor_set(self, length: int) -> frozenset[str]:
+        """Distinct factors of one length.  A new set is cut from the nearest
+        longer set already built, plus the pieces too short to appear in that
+        set (the short level words); with no longer set, from the pieces."""
+        found = self._by_length.get(length)
+        if found is not None:
+            return found
+        longer = [m for m in self._by_length if m > length]
+        if longer:
+            m = min(longer)
+            sources = chain(
+                self._by_length[m], (p for p in self.pieces if length <= len(p) < m)
+            )
+        else:
+            sources = self.pieces
+        found = frozenset(
+            p[i : i + length] for p in sources for i in range(len(p) - length + 1)
+        )
+        self._by_length[length] = found
+        return found
 
     def is_factor(self, w: WordLike) -> bool:
         s = "".join(str(a) for a in letters_of(w))
@@ -234,16 +258,12 @@ class Z4Language:
             raise ValueError(
                 f"probe of length {len(s)} exceeds cutoff {self.max_factor_length}"
             )
-        return s in self._haystack
+        return not s or s in self._factor_set(len(s))
 
     def factors(self, length: int) -> list[str]:
         if not 0 < length <= self.max_factor_length:
             raise ValueError("length out of range")
-        out = set()
-        for p in self.pieces:
-            for i in range(len(p) - length + 1):
-                out.add(p[i : i + length])
-        return sorted(out)
+        return sorted(self._factor_set(length))
 
 
 _Z4_CACHE: dict[int, Z4Language] = {}

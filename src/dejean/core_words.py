@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 Letters = Sequence[int]
-WordLike = Union["Word", str, Letters]
 
 
 class ReportKind(str, Enum):
@@ -50,6 +49,9 @@ class Word:
 
     def __str__(self) -> str:
         return format_word(self)
+
+
+WordLike = Union[Word, str, Letters]
 
 
 def word(letters: Iterable[int], alphabet_size: int) -> Word:
@@ -95,7 +97,10 @@ def letters_of(w: WordLike) -> tuple[int, ...]:
 
 
 def parse_ratio(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"ratio {text!r} has a zero denominator") from None
 
 
 def format_ratio(r: Fraction) -> str:

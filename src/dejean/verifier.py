@@ -15,7 +15,7 @@ counts and verbatim witnesses, so results can be pinned by golden files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ._util import parallel_map, split_chunks
 from .carpi import (
@@ -227,7 +227,9 @@ def compute_W(
     ):
         cands |= part
     out = []
-    for v, q in cands:
+    # a fixed probe order, longest first, so each new length of the factor
+    # index is cut from a longer one instead of from the pieces
+    for v, q in sorted(cands, key=lambda c: (-len(c[0]), c[0], c[1])):
         if engine.is_factor(v[q - 1] + v):
             continue
         if engine.is_factor(v + v[len(v) - q]):

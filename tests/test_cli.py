@@ -240,6 +240,23 @@ def test_usage_errors_exit_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["verify", "binary26", "--depth-cap", "5"], {}),
+        (["check", "--r", "1/0", "--word", "121", "--alphabet", "3"], {}),
+        (["count", "threshold", "--n", "3", "--k", "4"], {"DEJEAN_JOBS": "abc"}),
+    ],
+    ids=["depth-cap-reached", "zero-denominator", "bad-jobs-env"],
+)
+def test_bad_input_fails_with_one_document(capsys, monkeypatch, argv, env):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, doc = run_doc(capsys, *argv)
+    assert (code, doc["status"]) == (1, "fail")
+    assert "error" in doc["payload"]
+
+
 def _run_subprocess(*argv, env=None):
     return subprocess.run(
         [sys.executable, "-m", "dejean.cli", *argv],

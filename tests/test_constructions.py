@@ -72,6 +72,30 @@ def oracle_factors_upto(max_len, max_levels=40):
     return out
 
 
+class JoinedPiecesOracle:
+    """The engine's factor queries answered by substring search in the
+    '#'-joined pieces, the reference for the per-length factor index."""
+
+    def __init__(self, engine):
+        self.haystack = "#".join(sorted(engine.pieces))
+
+    def is_factor(self, s):
+        return s in self.haystack
+
+    def factors(self, length):
+        h = self.haystack
+        windows = {h[i : i + length] for i in range(len(h) - length + 1)}
+        return sorted(w for w in windows if "#" not in w)
+
+
+def one_letter_mutants(words, rng):
+    out = []
+    for w in words:
+        i = rng.randrange(len(w))
+        out.append(w[:i] + rng.choice("1234".replace(w[i], "")) + w[i + 1 :])
+    return out
+
+
 def level_factors(level, length):
     return {
         w[i : i + length] for w in g_level(level) for i in range(len(w) - length + 1)
@@ -303,6 +327,54 @@ def test_engine_is_factor_consistent_with_enumeration():
                 stack.extend(w + c for c in "1234")
 
 
+# the lengths include those of the short level words kept as pieces (1, 3, 9,
+# 27; 81 on the session engine), which a set cut from a longer one adds back
+@pytest.mark.parametrize(
+    "cutoff, lengths",
+    [
+        (8, list(range(1, 9))),
+        (12, list(range(1, 13))),
+        (66, [1, 2, 3, 4, 8, 9, 10, 26, 27, 28, 40, 64, 65, 66]),
+    ],
+)
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_factor_index_matches_joined_pieces(cutoff, lengths, order):
+    rng = random.Random(cutoff)
+    if order == "descending":
+        lengths = lengths[::-1]
+    elif order == "shuffled":
+        lengths = rng.sample(lengths, len(lengths))
+    eng = Z4Language(cutoff)
+    oracle = JoinedPiecesOracle(eng)
+    for ln in lengths:
+        # alternate the call that builds the length's set first
+        if ln % 2:
+            listed = eng.factors(ln)
+        want = oracle.factors(ln)
+        sample = rng.sample(want, min(len(want), 120))
+        for w in sample + one_letter_mutants(sample, rng):
+            assert eng.is_factor(w) == oracle.is_factor(w), (ln, w)
+        if not ln % 2:
+            listed = eng.factors(ln)
+        assert listed == want, ln
+    assert eng.is_factor("")
+
+
+def test_factor_index_on_session_engine(engine157):
+    oracle = JoinedPiecesOracle(engine157)
+    rng = random.Random(157)
+    pieces = sorted(engine157.pieces)
+    for ln in (116, 82, 81, 28, 27, 9, 3):
+        sample = []
+        for p in rng.sample(pieces, 8):
+            if len(p) >= ln:
+                i = rng.randrange(len(p) - ln + 1)
+                sample.append(p[i : i + ln])
+        for w in sample + one_letter_mutants(sample, rng):
+            assert engine157.is_factor(w) == oracle.is_factor(w), (ln, w)
+    assert engine157.factors(3) == oracle.factors(3)
+
+
 def test_engine_known_non_factors():
     eng = Z4Language(12)
     for w in ("111", "44", "33", "241", "341", "424"):
@@ -324,7 +396,8 @@ def test_engine_probe_length_guard():
 
 
 def test_engine_deterministic():
-    assert Z4Language(12)._haystack == Z4Language(12)._haystack
+    a, b = Z4Language(12), Z4Language(12)
+    assert all(a.factors(ln) == b.factors(ln) for ln in range(1, 13))
     assert Z4Language(12).pieces == Z4Language(12).pieces
 
 

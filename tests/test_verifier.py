@@ -4,7 +4,9 @@ White-box oracles here re-enumerate factors directly from definitions; the
 golden file pins the full 200-entry maximal-repetition set verbatim.
 """
 
+import inspect
 import json
+import typing
 from itertools import product
 from pathlib import Path
 
@@ -21,6 +23,7 @@ from dejean.carpi import (
 )
 from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
 from dejean._util import split_chunks
+from dejean import verifier
 from dejean.verifier import (
     MaximalKernelRepetition,
     VerificationReport,
@@ -409,3 +412,16 @@ def test_stabilizing_witness_scan_toy():
     assert rep is not None
     assert (rep.start, rep.length, rep.k) == (1, 2, 2)
     assert stabilizing_witness_scan(t, "1", k=2, max_length=1) is None
+
+
+def test_public_annotations_resolve():
+    public = [
+        obj
+        for name, obj in vars(verifier).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == verifier.__name__
+    ]
+    assert binary_avoidance_longest in public
+    for obj in public:
+        typing.get_type_hints(obj)
