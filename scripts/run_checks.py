@@ -10,6 +10,7 @@ import argparse
 import sys
 import time
 
+from dejean.cli import EXPECTED_W_BREAKDOWN, EXPECTED_W_COUNT
 from dejean.constructions import z4_language, zm_samples
 from dejean.verifier import (
     binary_avoidance_longest,
@@ -33,7 +34,8 @@ def run_check(name: str, args) -> tuple[bool, str]:
         w_set = compute_W(args.max_length, engine=engine, jobs=args.jobs)
         hist = w_breakdown(w_set)
         rows = ", ".join(f"{p}/{ln}:{c}" for (p, ln), c in sorted(hist.items()))
-        return len(w_set) == 200, f"{len(w_set)} entries ({rows})"
+        ok = len(w_set) == EXPECTED_W_COUNT and hist == EXPECTED_W_BREAKDOWN
+        return ok, f"{len(w_set)} entries ({rows})"
     if name == "ew":
         engine = z4_language(args.max_length + 2)
         w_set = compute_W(args.max_length, engine=engine, jobs=args.jobs)

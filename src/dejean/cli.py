@@ -4,10 +4,11 @@ Every invocation prints exactly one JSON document:
 
     {"schema": 1, "command": ..., "status": ..., "payload": {...}}
 
-with status pass, fail, info or unavailable.  The process exit code is 0 for
-pass and info, 1 for fail, 2 for usage errors (argparse) and 3 for
-unavailable.  Payloads are deterministic for fixed arguments and seeds; the
---jobs flag only changes how work is distributed, never the bytes printed.
+with status pass, fail, info, usage or unavailable.  The process exit code
+is 0 for pass and info, 1 for fail, 2 for usage errors (argparse also prints
+the usage line on stderr) and 3 for unavailable.  Payloads are deterministic
+for fixed arguments and seeds; the --jobs flag only changes how work is
+distributed, never the bytes printed.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .verifier import (
     w_breakdown,
 )
 
-EXIT_CODES = {"pass": 0, "info": 0, "fail": 1, "unavailable": 3}
+EXIT_CODES = {"pass": 0, "info": 0, "fail": 1, "usage": 2, "unavailable": 3}
 
 EXPECTED_W_COUNT = 200
 EXPECTED_W_BREAKDOWN = {(76, 77): 160, (92, 93): 36, (112, 114): 4}
@@ -305,6 +306,17 @@ def _cmd_pipeline(args) -> CommandResult:
 # ------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a usage document before exiting with 2;
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        command = self.prog.removeprefix("dejean").strip() or "dejean"
+        _emit(command, CommandResult("usage", {"error": message}))
+        raise SystemExit(2)
+
+
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
@@ -316,7 +328,7 @@ def _add_jobs(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dejean",
         description="Workbench for words avoiding repetitions above the "
         "alphabet's repetition threshold.",
@@ -460,8 +472,7 @@ def run(argv: Optional[list[str]] = None) -> tuple[str, CommandResult]:
         return args.command_name, CommandResult("fail", {"error": str(err)})
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    command, result = run(argv)
+def _emit(command: str, result: CommandResult) -> None:
     if result.plain is not None:
         sys.stdout.write(result.plain)
     else:
@@ -472,6 +483,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             "payload": result.payload,
         }
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    command, result = run(argv)
+    _emit(command, result)
     return result.exit_code
 
 

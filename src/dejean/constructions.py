@@ -187,10 +187,12 @@ class Z4Language:
 
     The constructor runs the window fixpoint: seed with every window of length
     ceil(L/3)+1 of the first level long enough to contain one, then repeatedly
-    apply g to known windows, harvesting length-L factors of the branch words
-    and any new windows, until nothing new appears.  Whole level words shorter
-    than the seed level are kept as extra pieces so short factors are covered
-    without leaning on the prefix structure of the levels.
+    apply g to known windows and take the windows of the branch words, until
+    nothing new appears.  The engine keeps only the closed windows and the
+    level words up to the seed level; every factor of length at most L lies
+    in a branch word g(x) of a closed window x, and the level words are kept
+    so short factors are covered without leaning on the prefix structure of
+    the levels.
 
     Factor queries go through one index, length -> frozenset of the distinct
     factors of that length, filled in on the first probe of each length.
@@ -210,31 +212,37 @@ class Z4Language:
             raise ValueError("factor length cutoff too large for the seed level")
         self.seed_level = k0
 
-        pieces: set[str] = set()
-        for k in range(k0 + 1):
-            pieces.update(g_level(k))
-        frontier = set()
-        for w in g_level(k0):
-            for i in range(len(w) - win + 1):
-                frontier.add(w[i : i + win])
+        levels = [g_level(k) for k in range(k0 + 1)]
+        self.level_words: tuple[str, ...] = tuple(sorted(set(chain(*levels))))
+        frontier = {w[i : i + win] for w in levels[k0] for i in range(len(w) - win + 1)}
         seen = set(frontier)
         while frontier:
             x = frontier.pop()
             for bw in g_expand(x):
-                for i in range(len(bw) - L + 1):
-                    pieces.add(bw[i : i + L])
                 for i in range(len(bw) - win + 1):
                     y = bw[i : i + win]
                     if y not in seen:
                         seen.add(y)
                         frontier.add(y)
-        self.pieces: frozenset[str] = frozenset(pieces)
+        self.windows: tuple[str, ...] = tuple(sorted(seen))
         self._by_length: dict[int, frozenset[str]] = {}
+
+    def _branch_words(self) -> Iterator[str]:
+        for x in self.windows:
+            yield from g_expand(x)
+
+    @property
+    def pieces(self) -> list[str]:
+        """The level words and every branch word of a closed window, sorted.
+        Rebuilt from the windows on each access; every factor of length at
+        most the cutoff is a factor of one of them."""
+        return sorted(chain(self.level_words, self._branch_words()))
 
     def _factor_set(self, length: int) -> frozenset[str]:
         """Distinct factors of one length.  A new set is cut from the nearest
-        longer set already built, plus the pieces too short to appear in that
-        set (the short level words); with no longer set, from the pieces."""
+        longer set already built, plus the level words too short to appear in
+        that set; with no longer set, from the windows when they are long
+        enough, else from the branch words, streamed."""
         found = self._by_length.get(length)
         if found is not None:
             return found
@@ -242,10 +250,12 @@ class Z4Language:
         if longer:
             m = min(longer)
             sources = chain(
-                self._by_length[m], (p for p in self.pieces if length <= len(p) < m)
+                self._by_length[m], (p for p in self.level_words if len(p) < m)
             )
+        elif length <= self.window_length:
+            sources = chain(self.windows, self.level_words)
         else:
-            sources = self.pieces
+            sources = chain(self._branch_words(), self.level_words)
         found = frozenset(
             p[i : i + length] for p in sources for i in range(len(p) - length + 1)
         )

@@ -1,12 +1,12 @@
 """Exhaustive and sampled checks over the source-word languages.
 
-The heavy searches all reduce to one primitive: within a string, find the
-position pairs (i, i + q) whose running letter-count signatures (mod 4) agree.
-Such a pair marks a factor starting at i with kernel period q, extendable as
-far as positions keep matching q steps back.  Scanning the factor engine's
-piece set with this primitive covers every factor of the language up to the
-engine cutoff, since any short factor occurs inside some piece together with
-its period structure.
+The heavy searches all reduce to one primitive: find the prefixes s[:q] whose
+letter counts are all divisible by 4, so s[:q] is a kernel word and q a kernel
+period of every prefix of s on which the period holds.  Every factor of the
+language extends to the right, so each factor with a kernel period is a
+prefix of some distinct factor of the engine's cutoff length.  The checks walk
+those factors once, in sorted order, and recompute prefix signatures only past
+the common prefix with the previous one.
 
 Each check returns a VerificationReport: a status string plus a payload of
 counts and verbatim witnesses, so results can be pinned by golden files.
@@ -14,8 +14,11 @@ counts and verbatim witnesses, so results can be pinned by golden files.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ._util import parallel_map, split_chunks
 from .carpi import (
@@ -89,25 +92,80 @@ def _int_sigs(s: str) -> list[int]:
     return out
 
 
-def _tail_candidates(s: str, cap: int):
-    """Yield (start, kernel_period, max_length) for factors of s with a
-    kernel period q and length up to min(q + 3, cap, extension run)."""
-    sigs = _int_sigs(s)
-    groups: dict[int, list[int]] = {}
-    for i, sg in enumerate(sigs):
-        groups.setdefault(sg, []).append(i)
-    L = len(s)
-    for g in groups.values():
-        for a in range(len(g) - 1):
-            i = g[a]
-            for b in range(a + 1, len(g)):
-                q = g[b] - i
-                if q > cap:
-                    break
-                e = i + q
-                while e < L and s[e] == s[e - q]:
+def _common_prefix_length(a: str, b: str) -> int:
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _prefix_candidates(
+    sorted_strings: Iterable[str], cap: int
+) -> Iterator[tuple[str, int, int]]:
+    """Yield (s, q, lmax) for each string s, cut to cap letters, and each q
+    with s[:q] a kernel word; lmax = min(q + 3, the end of the run of period q
+    in s).  Signatures are recomputed only past the common prefix with the
+    previous string, so sorted input walks each distinct prefix once; a string
+    equal to the previous one yields nothing new and is skipped."""
+    prev = ""
+    sigs = [0]
+    for s in sorted_strings:
+        s = s[:cap]
+        if s == prev:
+            continue
+        c = _common_prefix_length(prev, s)
+        del sigs[c + 1 :]
+        sig = sigs[c]
+        append = sigs.append
+        for ch in s[c:]:
+            sh = (ord(ch) - 49) * 2
+            sig = (sig & ~(3 << sh)) | ((((sig >> sh) + 1) & 3) << sh)
+            append(sig)
+        n = len(s)
+        # periods up to c were yielded for the previous string, but those
+        # from c - 2 on extend past the common prefix
+        for q in range(max(1, c - 2), n + 1):
+            if sigs[q] == 0:
+                lim = min(n, q + 3)
+                e = q
+                while e < lim and s[e] == s[e - q]:
                     e += 1
-                yield i, q, min(e - i, q + 3, cap)
+                yield s, q, e
+        prev = s
+
+
+def _windows_at(run: list[str], offset: int, length: int) -> Iterator[str]:
+    end = offset + length
+    for p in run:
+        if len(p) >= end:
+            yield p[offset:end]
+
+
+def _sorted_windows(pieces: list[str], length: int) -> Iterator[str]:
+    """Every window of the given length of the sorted pieces, in sorted order
+    with repeats.  Pieces that share their first o letters form a contiguous
+    run already sorted by p[o:], so each run gives its windows at offset o in
+    order, and one merge of the runs orders them all."""
+    top = max(map(len, pieces), default=0)
+    return heapq.merge(
+        *(
+            _windows_at(list(run), o, length)
+            for o in range(top - length + 1)
+            for _, run in groupby(pieces, key=itemgetter(slice(0, o)))
+        )
+    )
+
+
+def _walk_tasks(engine, jobs: int, *params) -> list[tuple]:
+    """The engine's sorted pieces in contiguous chunks, one per job, each
+    with the engine cutoff as window length; results are set unions, so they
+    do not depend on the split."""
+    chunks = split_chunks(sorted(engine.pieces), jobs)
+    return [(c, engine.max_factor_length, *params) for c in chunks]
 
 
 def _max_kernel_period_run(s: str, period: int) -> int:
@@ -131,15 +189,18 @@ def _max_kernel_period_run(s: str, period: int) -> int:
 # ------------------------------------------------------------ elimination
 
 
-def _elimination_chunk(args: tuple) -> set:
-    pieces, max_length, orders = args
+def _eliminated(strings: Iterable[str], max_length: int, orders: list) -> set:
     found = set()
-    for piece in pieces:
-        for i, q, lmax in _tail_candidates(piece, max_length):
-            for n in orders:
-                if (n - 1) * (lmax + 1) >= n * q - 3:
-                    found.add((piece[i : i + lmax], q, lmax, n))
+    for s, q, lmax in _prefix_candidates(strings, max_length):
+        for n in orders:
+            if (n - 1) * (lmax + 1) >= n * q - 3:
+                found.add((s[:lmax], q, lmax, n))
     return found
+
+
+def _elimination_chunk(args: tuple) -> set:
+    pieces, length, max_length, orders = args
+    return _eliminated(_sorted_windows(pieces, length), max_length, orders)
 
 
 def verify_short_elimination(
@@ -153,18 +214,21 @@ def verify_short_elimination(
     q >= length - 3 making it a psi-kernel repetition at any of the orders.
 
     The length condition grows with the factor, so only the longest extension
-    of each (start, period) pair is tested.  extra_pieces lets a test inject
-    strings that must be flagged.
+    of each (start, period) pair is tested.  The engine's factors are walked
+    as prefixes of its distinct windows, so a factor is reported at its
+    longest extension inside a window.  extra_pieces lets a test inject
+    strings that must be flagged; every suffix of them is walked, so each of
+    their factors is checked.
     """
     if engine is None:
         engine = z4_language(max_length)
     orders = list(orders)
-    pieces = sorted(engine.pieces) + list(extra_pieces)
-    chunks = split_chunks(pieces, jobs)
-    found: set = set()
-    for part in parallel_map(
-        _elimination_chunk, [(c, max_length, orders) for c in chunks], jobs
-    ):
+    extra = list(extra_pieces)
+    tasks = _walk_tasks(engine, jobs, max_length, orders)
+    scanned = sum(len(t[0]) for t in tasks) + len(extra)
+    suffixes = sorted(p[i:] for p in extra for i in range(len(p)))
+    found = _eliminated(suffixes, max_length, orders)
+    for part in parallel_map(_elimination_chunk, tasks, jobs):
         found |= part
     violations = [
         {"word": w, "kernel_period": q, "length": ln, "order": n}
@@ -177,7 +241,7 @@ def verify_short_elimination(
         {
             "max_length": max_length,
             "orders": orders,
-            "pieces_scanned": len(pieces),
+            "pieces_scanned": scanned,
             "violations": violations,
         },
     )
@@ -187,16 +251,15 @@ def verify_short_elimination(
 
 
 def _w_candidate_chunk(args: tuple) -> set:
-    pieces, max_length, bound_filter = args
+    pieces, length, max_length, bound_filter = args
     cands = set()
-    for piece in pieces:
-        for i, q, lmax in _tail_candidates(piece, max_length):
-            if q > 152:
+    for s, q, lmax in _prefix_candidates(_sorted_windows(pieces, length), max_length):
+        if q > 152:
+            continue
+        for ln in range(q, lmax + 1):
+            if bound_filter and q > 31 * (ln - q + 2):
                 continue
-            for ln in range(q, lmax + 1):
-                if bound_filter and q > 31 * (ln - q + 2):
-                    continue
-                cands.add((piece[i : i + ln], q))
+            cands.add((s[:ln], q))
     return cands
 
 
@@ -218,12 +281,9 @@ def compute_W(
         engine = z4_language(max_length + 2)
     if engine.max_factor_length < max_length + 1:
         raise ValueError("engine cutoff too small for the extension probes")
-    pieces = sorted(engine.pieces)
     cands: set = set()
     for part in parallel_map(
-        _w_candidate_chunk,
-        [(c, max_length, bound_filter) for c in split_chunks(pieces, jobs)],
-        jobs,
+        _w_candidate_chunk, _walk_tasks(engine, jobs, max_length, bound_filter), jobs
     ):
         cands |= part
     out = []

@@ -4,13 +4,18 @@ Each invocation goes through main() with stdout captured; a few run as real
 subprocesses to pin byte-level determinism of the printed document.
 """
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dejean.cli import main
+from dejean.cli import EXIT_CODES, main
 
 T3_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 186, 240]
 
@@ -286,3 +291,98 @@ def test_jobs_env_var_accepted():
     a = _run_subprocess("count", "threshold", "--n", "3", "--k", "8", env=env)
     b = _run_subprocess("count", "threshold", "--n", "3", "--k", "8")
     assert a.stdout == b.stdout
+
+
+# ---------------------------------------------------------------- contract
+
+INTS = ["-1", "0", "1", "2", "3", "4", "5", "7", "9", "x"]
+SMALL = ["-1", "0", "1", "2", "3", "x"]
+JOBS = ["-1", "0", "1", "2", "3", "x"]
+RATIOS = ["7/4", "2", "1/0", "0/1", "-1/2", "3/", "a/b", ""]
+WORDS = ["121", "1212", "", "12a", "5", "0101"]
+MISSING = "no-such-dir/table.json"
+
+# each command with its flags and value pools; a flag given None is a switch
+GRAMMAR = [
+    (["rt"], [("--n", INTS)]),
+    (["check"], [("--r", RATIOS), ("--word", WORDS), ("--alphabet", INTS),
+                 ("--strict", None)]),
+    (["gamma"], [("--n", INTS), ("--binary", WORDS)]),
+    (["scan-pansiot"], [("--n", INTS), ("--binary", WORDS)]),
+    (["gen", "beta"], [("--k", INTS), ("--limit", INTS)]),
+    (["gen", "alpha"], [("--m", INTS), ("--k", INTS)]),
+    (["gen", "zm"], [("--m", INTS), ("--k", INTS), ("--limit", INTS)]),
+    (["gen", "z4"], [("--length", INTS)]),
+    (["count", "threshold"], [("--n", ["-1", "0", "1", "2", "3", "4", "x"]),
+                              ("--k", SMALL), ("--budget", INTS),
+                              ("--symmetry", None), ("--jobs", JOBS)]),
+    (["count", "zm"], [("--m", INTS), ("--k", INTS)]),
+    (["count", "z4"], [("--k", INTS)]),
+    (["lower-bound"], [("--n", INTS), ("--k", INTS)]),
+    (["verify", "elimination"], [("--max-length", INTS), ("--jobs", JOBS)]),
+    (["verify", "w-set"], [("--max-length", INTS), ("--no-bound-filter", None),
+                           ("--jobs", JOBS)]),
+    (["verify", "ew"], [("--max-length", INTS), ("--jobs", JOBS)]),
+    (["verify", "binary26"], [("--n", ["-1", "5", "26", "x"]),
+                              ("--depth-cap", INTS)]),
+    (["verify", "lemma6"], [("--m", INTS), ("--length", INTS),
+                            ("--samples", SMALL), ("--seed", SMALL)]),
+    (["verify", "prop7-desk"], [("--m", INTS), ("--n", INTS + ["33"]),
+                                ("--length", INTS), ("--samples", SMALL),
+                                ("--seed", SMALL)]),
+    (["verify", "n26-stab"], [("--table", [MISSING])]),
+    (["pipeline"], [("--table", [MISSING]), ("--word", WORDS)]),
+    (["verify"], []),
+    (["no-such-command"], []),
+    ([], []),
+]
+# flags whose defaults are full-size runs, so the grammar always sets them
+SIZED = {"--max-length", "--length", "--samples", "--depth-cap"}
+
+
+@st.composite
+def argv_strategy(draw):
+    command, flags = draw(st.sampled_from(GRAMMAR))
+    argv = list(command)
+    for flag, pool in flags:
+        # switches are set half the time, other flags dropped one time in 8
+        drop = draw(st.booleans()) if pool is None else draw(st.integers(0, 7)) == 0
+        if drop and flag not in SIZED:
+            continue
+        argv.append(flag)
+        if pool is not None:
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+class _SerialPool:
+    def __init__(self, processes=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv_strategy())
+def test_cli_contract_one_document(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # --jobs > 1 runs its chunks in this process, so no worker pool starts;
+    # an empty engine cache keeps the small sizes from reusing a big engine
+    with mock.patch("multiprocessing.Pool", _SerialPool), \
+            mock.patch.dict("dejean.constructions._Z4_CACHE", clear=True), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    doc = json.loads(out.getvalue())  # exactly one document, nothing else
+    assert doc["schema"] == 1
+    assert code in (0, 1, 2, 3)
+    assert EXIT_CODES[doc["status"]] == code

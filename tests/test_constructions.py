@@ -375,6 +375,22 @@ def test_factor_index_on_session_engine(engine157):
     assert engine157.factors(3) == oracle.factors(3)
 
 
+def test_short_lengths_on_session_engine(engine157):
+    # short sets with no longer set to cut from come from the closed windows
+    small = Z4Language(12)
+    for ln in range(1, 13):
+        assert engine157.factors(ln) == small.factors(ln), ln
+
+
+def test_engine_keeps_closed_windows():
+    eng = Z4Language(66)
+    win = eng.window_length
+    assert all(len(x) == win for x in eng.windows)
+    assert set(eng.windows) == set(eng.factors(win))
+    # the pieces are the level words and the branch words of the windows
+    assert eng.pieces == sorted(set(eng.level_words) | g_apply(eng.windows))
+
+
 def test_engine_known_non_factors():
     eng = Z4Language(12)
     for w in ("111", "44", "33", "241", "341", "424"):

@@ -29,7 +29,9 @@ from dejean.verifier import (
     VerificationReport,
     _int_sigs,
     _max_kernel_period_run,
-    _tail_candidates,
+    _prefix_candidates,
+    _w_candidate_chunk,
+    _walk_tasks,
     binary_avoidance_longest,
     binary_avoidance_max_length,
     check_lemma6,
@@ -45,6 +47,11 @@ from dejean.verifier import (
 GOLDEN = Path(__file__).parent / "golden" / "w_set.json"
 
 digit_words = st.text(alphabet="1234", max_size=60)
+# concatenated short kernel words and single letters, rich in periodic runs
+kernel_rich_words = st.lists(
+    st.sampled_from(["1", "2", "3", "11", "1111", "1212", "2112", "1221"]),
+    max_size=12,
+).map("".join)
 
 
 # ---------------------------------------------------------------- scan core
@@ -58,6 +65,28 @@ def test_int_sigs_match_direct_counts(s):
         for c in set(s[:i]):
             want |= (s[:i].count(c) % 4) << ((ord(c) - 49) * 2)
         assert sigs[i] == want
+
+
+def _tail_candidates(s: str, cap: int):
+    """The all-starts scan the sorted prefix walk replaced, kept as its
+    oracle: (start, kernel_period, max_length) for factors of s with a kernel
+    period q and length up to min(q + 3, cap, extension run)."""
+    sigs = _int_sigs(s)
+    groups: dict[int, list[int]] = {}
+    for i, sg in enumerate(sigs):
+        groups.setdefault(sg, []).append(i)
+    L = len(s)
+    for g in groups.values():
+        for a in range(len(g) - 1):
+            i = g[a]
+            for b in range(a + 1, len(g)):
+                q = g[b] - i
+                if q > cap:
+                    break
+                e = i + q
+                while e < L and s[e] == s[e - q]:
+                    e += 1
+                yield i, q, min(e - i, q + 3, cap)
 
 
 def oracle_tail_candidates(s, cap):
@@ -77,6 +106,24 @@ def oracle_tail_candidates(s, cap):
 @given(digit_words, st.sampled_from([5, 20, 155]))
 def test_tail_candidates_match_oracle(s, cap):
     assert set(_tail_candidates(s, cap)) == oracle_tail_candidates(s, cap)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.text(alphabet="12345", max_size=40), kernel_rich_words),
+             max_size=4),
+    st.sampled_from([4, 9, 20, 155]),
+)
+def test_prefix_walk_matches_all_starts_scan(strings, cap):
+    # walking the sorted suffixes reaches every factor at every start
+    suffixes = sorted(w[i:] for w in strings for i in range(len(w)))
+    walked = {(s[:q], q, lmax) for s, q, lmax in _prefix_candidates(suffixes, cap)}
+    scanned = {
+        (w[i : i + q], q, lmax)
+        for w in strings
+        for i, q, lmax in _tail_candidates(w, cap)
+    }
+    assert walked == scanned
 
 
 def oracle_max_run(s, period):
@@ -142,6 +189,29 @@ def test_elimination_injection_flagged():
     assert not rep.passed
     words = {(v["word"], v["order"]) for v in rep.payload["violations"]}
     assert {("1111", n) for n in range(27, 33)} <= words
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(kernel_rich_words, max_size=3), st.sampled_from([8, 12, 30]))
+def test_elimination_injection_matches_all_starts_scan(extra, max_length):
+    orders = range(27, 33)
+    engine = Z4Language(12)
+    rep = verify_short_elimination(
+        max_length=max_length, engine=engine, extra_pieces=extra
+    )
+    # the language has no kernel factor this short, so every violation
+    # comes from the injected strings
+    want = sorted(
+        (w[i : i + lmax], q, lmax, n)
+        for w in extra
+        for i, q, lmax in _tail_candidates(w, max_length)
+        for n in orders
+        if (n - 1) * (lmax + 1) >= n * q - 3
+    )
+    got = [(v["word"], v["kernel_period"], v["length"], v["order"])
+           for v in rep.payload["violations"]]
+    assert got == sorted(set(want))
+    assert rep.payload["pieces_scanned"] == len(engine.pieces) + len(extra)
 
 
 # ---------------------------------------------------------------- W set
@@ -231,6 +301,35 @@ def test_w_set_independent_of_enumeration_strategy():
         a = compute_W(64, engine=worklist, bound_filter=flag)
         b = compute_W(64, engine=levelwise, bound_filter=flag)
         assert a == b
+
+
+def old_w_candidates(pieces, max_length, bound_filter):
+    """compute_W's candidate scan before the prefix walk: every start of
+    every piece."""
+    cands = set()
+    for piece in pieces:
+        for i, q, lmax in _tail_candidates(piece, max_length):
+            if q > 152:
+                continue
+            for ln in range(q, lmax + 1):
+                if bound_filter and q > 31 * (ln - q + 2):
+                    continue
+                cands.add((piece[i : i + ln], q))
+    return cands
+
+
+@pytest.mark.parametrize("cutoff", [20, 66, 100])
+def test_w_candidates_match_all_starts_scan(cutoff):
+    # the old pieces: the level words and every cutoff-length window
+    old_pieces = LevelwiseEngine(cutoff).pieces
+    engine = Z4Language(cutoff)
+    for flag in (True, False):
+        want = old_w_candidates(old_pieces, cutoff - 2, flag)
+        for jobs in (1, 2, 3):
+            tasks = _walk_tasks(engine, jobs, cutoff - 2, flag)
+            assert len(tasks) == min(jobs, len(engine.pieces))
+            got = set().union(*map(_w_candidate_chunk, tasks))
+            assert got == want, (flag, jobs)
 
 
 def test_compute_w_engine_cutoff_guard():
