@@ -10,7 +10,7 @@ import argparse
 import sys
 import time
 
-from dejean.cli import EXPECTED_W_BREAKDOWN, EXPECTED_W_COUNT
+from dejean.cli import EXPECTED_BINARY26, EXPECTED_W_BREAKDOWN, EXPECTED_W_COUNT
 from dejean.constructions import z4_language, zm_samples
 from dejean.verifier import (
     binary_avoidance_longest,
@@ -45,7 +45,8 @@ def run_check(name: str, args) -> tuple[bool, str]:
         return result.passed, f"{result.payload['checked']} words, min margin {lo}"
     if name == "binary26":
         length, witness = binary_avoidance_longest(26)
-        return length == 15, f"longest clean word {witness} has length {length}"
+        detail = f"longest clean word {witness} has length {length}"
+        return length == EXPECTED_BINARY26, detail
     if name == "lemma6":
         violations = []
         for z in zm_samples(5, args.length, args.samples, seed=args.seed):

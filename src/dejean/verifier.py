@@ -160,12 +160,18 @@ def _sorted_windows(pieces: list[str], length: int) -> Iterator[str]:
     )
 
 
-def _walk_tasks(engine, jobs: int, *params) -> list[tuple]:
-    """The engine's sorted pieces in contiguous chunks, one per job, each
-    with the engine cutoff as window length; results are set unions, so they
-    do not depend on the split."""
-    chunks = split_chunks(sorted(engine.pieces), jobs)
-    return [(c, engine.max_factor_length, *params) for c in chunks]
+def _walk_tasks(engine, jobs: int, cap: int, *params) -> list[tuple]:
+    """Sorted strings to walk, in contiguous chunks, one per job, each with
+    the window length to cut them to; every factor of length cap is a
+    prefix of one window.  A cap up to the engine's window length walks the
+    factors of that length themselves, a longer one the cutoff-length
+    windows of the sorted pieces.  Results are set unions, so they do not
+    depend on the split."""
+    if 0 < cap <= engine.window_length:
+        strings, length = engine.factors(cap), cap
+    else:
+        strings, length = sorted(engine.pieces), engine.max_factor_length
+    return [(c, length, cap, *params) for c in split_chunks(strings, jobs)]
 
 
 def _max_kernel_period_run(s: str, period: int) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,9 @@ from dejean.core_words import (
     RepetitionReport,
     ReportKind,
     Word,
+    _letter_positions,
+    _longest_repeat,
+    _scan_sequence,
     find_forbidden_factor,
     format_binary,
     format_ratio,
@@ -53,6 +57,51 @@ def oracle_find(s, num, den, strict):
             if hit:
                 return (start + 1, length, ps[0])
     return None
+
+
+def oracle_need(p, r, strict):
+    rp = r * p
+    return max(math.floor(rp) + 1 if strict else math.ceil(rp), p)
+
+
+def quadratic_find(s, r, strict):
+    """The all-periods scan that find_forbidden_factor replaced: for each
+    start, try every period in turn until the length it needs runs past the
+    word.  Returns (start, length, period) or None."""
+    k = len(s)
+    for start in range(k):
+        avail = k - start
+        best_len = None
+        best_p = None
+        for p in range(1, avail + 1):
+            need = oracle_need(p, r, strict)
+            if need > avail or (best_len is not None and need >= best_len):
+                break  # need is nondecreasing in p
+            if all(s[i] == s[i + p] for i in range(start, start + need - p)):
+                best_len, best_p = need, p
+        if best_len is not None:
+            return (start + 1, best_len, best_p)
+    return None
+
+
+def oracle_suffix_violation(s, r, strict):
+    k = len(s)
+    for p in range(1, k + 1):
+        need = oracle_need(p, r, strict)
+        if need > k:
+            break
+        if all(s[i] == s[i + p] for i in range(k - need, k - p)):
+            return True
+    return False
+
+
+def oracle_longest_repeat(s):
+    k = len(s)
+    return max(
+        (m for m in range(1, k)
+         if len({tuple(s[i : i + m]) for i in range(k - m + 1)}) < k - m + 1),
+        default=0,
+    )
 
 
 def all_words(alphabet, max_len):
@@ -228,3 +277,135 @@ def test_minimal_period_and_letters_of():
     assert letters_of("1213") == (1, 2, 1, 3)
     assert letters_of(Word((1, 2), 2)) == (1, 2)
     assert letters_of([3, 1]) == (3, 1)
+
+
+# ---------------------------------------------------------------- the scan
+
+
+SCAN_RATIOS = [Fraction(7, 4), Fraction(7, 5), Fraction(5, 4), Fraction(33, 32),
+               Fraction(2), Fraction(3)]
+SCAN_BOUNDS = [(r, strict) for r in SCAN_RATIOS for strict in (True, False)]
+LOW_BOUNDS = [(r, strict) for r in (Fraction(1, 3), Fraction(9, 10), Fraction(1))
+              for strict in (True, False)]
+
+
+def scan_triple(w, r, strict):
+    rep = find_forbidden_factor(w, r, strict)
+    if rep is None:
+        return None
+    assert rep.exponent == Fraction(rep.length, rep.period)
+    assert rep.kind == ReportKind.PLAIN
+    return (rep.start, rep.length, rep.period)
+
+
+def check_scan(s, r, strict, definition=True):
+    got = scan_triple(s, r, strict)
+    assert got == quadratic_find(s, r, strict)
+    if definition:
+        assert got == oracle_find(s, r.numerator, r.denominator, strict)
+    return got
+
+
+def near_periodic(draw_alphabet):
+    """A periodic word over the drawn alphabet with at most one letter changed."""
+    @st.composite
+    def build(draw):
+        n = draw(draw_alphabet)
+        base = draw(st.lists(st.integers(1, n), min_size=1, max_size=6))
+        length = draw(st.integers(0, 48))
+        s = [base[i % len(base)] for i in range(length)]
+        if s and draw(st.booleans()):
+            s[draw(st.integers(0, length - 1))] = draw(st.integers(1, n))
+        return tuple(s)
+    return build()
+
+
+alphabets = st.sampled_from([1, 2, 3, 4, 5, 33])
+random_words = alphabets.flatmap(
+    lambda n: st.lists(st.integers(1, n), max_size=40).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_words, st.sampled_from(SCAN_BOUNDS + LOW_BOUNDS))
+def test_scan_matches_quadratic_oracle(s, bound):
+    check_scan(s, *bound, definition=len(s) <= 14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_periodic(alphabets), st.sampled_from(SCAN_BOUNDS))
+def test_scan_matches_oracle_near_periodic(s, bound):
+    check_scan(s, *bound, definition=len(s) <= 14)
+
+
+def test_scan_matches_oracle_exhaustive_binary_and_4_letters():
+    for s in itertools.chain(all_words(2, 10), all_words(4, 5)):
+        for r, strict in SCAN_BOUNDS + LOW_BOUNDS:
+            check_scan(s, r, strict, definition=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_words, st.sampled_from(SCAN_BOUNDS + LOW_BOUNDS))
+def test_scan_letters_beyond_a_byte(s, bound):
+    # letters >= 256 cannot go into bytes; the scan falls back to a tuple
+    big = Word(tuple(a + 300 for a in s), 333)
+    assert not s or not isinstance(_scan_sequence(big.letters), bytes)
+    assert scan_triple(big, *bound) == scan_triple(s, *bound) == quadratic_find(s, *bound)
+
+
+def test_scan_empty_word():
+    for r, strict in SCAN_BOUNDS + LOW_BOUNDS:
+        assert find_forbidden_factor((), r, strict) is None
+        assert find_forbidden_factor("", r, strict) is None
+        assert find_forbidden_factor(Word((), 3), r, strict) is None
+
+
+def test_scan_exponent_at_most_one():
+    # need(1) == 1: the overhang is 0, so the first letter is the report
+    for s in [(1,), (2, 1), (1, 2, 3), (3, 3)]:
+        for r, strict in LOW_BOUNDS:
+            got = check_scan(s, r, strict)
+            if r < 1 or (r == 1 and not strict):
+                assert got == (1, 1, 1)
+    # r = 1 strict asks for an overhang of 1: a repeated letter
+    assert scan_triple((1, 2, 3), Fraction(1), True) is None
+    assert scan_triple((1, 2, 3, 2), Fraction(1), True) == (2, 3, 2)
+    with pytest.raises(ValueError):
+        find_forbidden_factor((1, 2), Fraction(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.sampled_from(SCAN_BOUNDS + [(Fraction(1), True)]),
+    st.integers(0, 4),
+    st.sampled_from([0, 300]),
+)
+def test_scan_longest_repeat_at_pruning_boundary(p, bound, lead, offset):
+    """A period-p factor of the least violating length over distinct letters:
+    its overhang is the longest repeat, so pruning with one less misses it."""
+    r, strict = bound
+    need = oracle_need(p, r, strict)
+    u = [offset + a for a in range(1, p + 1)]
+    fresh = [offset + p + a for a in range(1, lead + 1)]
+    s = tuple(fresh + [u[i % p] for i in range(need)])
+    assert oracle_longest_repeat(s) == need - p
+    assert scan_triple(s, r, strict) == quadratic_find(s, r, strict) == (lead + 1, need, p)
+    # one letter shorter, the longest repeat is one less and the word is free
+    assert scan_triple(s[:-1], r, strict) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_words, near_periodic(alphabets)))
+def test_longest_repeat_matches_definition(s):
+    seq = _scan_sequence(s)
+    positions = _letter_positions(seq)
+    want = oracle_longest_repeat(s)
+    for cap in range(1, len(s) + 1):
+        assert _longest_repeat(seq, positions, cap) == min(want, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_words, near_periodic(alphabets)),
+       st.sampled_from(SCAN_BOUNDS + LOW_BOUNDS))
+def test_suffix_violation_matches_oracle(s, bound):
+    assert has_suffix_violation(s, *bound) == oracle_suffix_violation(s, *bound)

@@ -9,6 +9,7 @@ import json
 import typing
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,13 +24,14 @@ from dejean.carpi import (
 )
 from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
 from dejean._util import split_chunks
-from dejean import verifier
+from dejean import constructions, verifier
 from dejean.verifier import (
     MaximalKernelRepetition,
     VerificationReport,
     _int_sigs,
     _max_kernel_period_run,
     _prefix_candidates,
+    _sorted_windows,
     _w_candidate_chunk,
     _walk_tasks,
     binary_avoidance_longest,
@@ -262,7 +264,7 @@ class LevelwiseEngine:
 
     def __init__(self, max_factor_length):
         self.max_factor_length = L = max_factor_length
-        win = -(-L // 3) + 1
+        self.window_length = win = -(-L // 3) + 1
         level_words, k = {"1"}, 0
         pieces = set(level_words)
         while len(next(iter(level_words))) < win:
@@ -330,6 +332,36 @@ def test_w_candidates_match_all_starts_scan(cutoff):
             assert len(tasks) == min(jobs, len(engine.pieces))
             got = set().union(*map(_w_candidate_chunk, tasks))
             assert got == want, (flag, jobs)
+
+
+def test_small_cap_walks_factors_of_cap_length(engine157):
+    """A cap up to the window length walks the factors of that length, which
+    are the cap-letter prefixes of the cutoff-length windows walked before."""
+    win = engine157.window_length
+    pieces = sorted(engine157.pieces)
+    prefixes = {w[:win] for w in _sorted_windows(pieces, engine157.max_factor_length)}
+    for cap in (1, 2, 7, win - 1, win):
+        for jobs in (1, 2):
+            tasks = _walk_tasks(engine157, jobs, cap)
+            assert [t[1:] for t in tasks] == [(cap, cap)] * jobs
+            walked = [s for t in tasks for s in t[0]]
+            assert walked == sorted({w[:cap] for w in prefixes})
+    (strings, length, cap), = _walk_tasks(engine157, 1, win + 1)
+    assert strings == pieces and length == engine157.max_factor_length
+
+
+# 54 is the window length of the 157 engine
+@pytest.mark.parametrize("max_length", [3, 20, 54, 55])
+def test_small_caps_independent_of_cached_engine(engine157, max_length):
+    def run():
+        rep = verify_short_elimination(max_length)
+        return rep.status, rep.payload["violations"], compute_W(max_length)
+
+    with mock.patch.dict(constructions._Z4_CACHE, clear=True):
+        fresh = run()
+    with mock.patch.dict(constructions._Z4_CACHE, {157: engine157}, clear=True):
+        cached = run()
+    assert cached == fresh
 
 
 def test_compute_w_engine_cutoff_guard():
