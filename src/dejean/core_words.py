@@ -325,6 +325,41 @@ def find_forbidden_factor(
     return None
 
 
+def period_table(max_length: int, r: Fraction, strict: bool) -> tuple[tuple[int, int], ...]:
+    """The pairs (p, need(p)), need(p) the shortest length of a period-p
+    factor with exponent >= r (> r if strict), for every period p with
+    need(p) <= max_length, in increasing p.
+
+    need(p) is nondecreasing in p, so the table of a longer bound extends
+    that of a shorter one, and a caller checking a word of length k may stop
+    at the first entry with need > k.
+    """
+    table = []
+    for p in range(1, max_length + 1):
+        need = _min_violating_length(p, r, strict)
+        if need > max_length:
+            break
+        table.append((p, need))
+    return tuple(table)
+
+
+def suffix_violates(s: Letters, periods: Sequence[tuple[int, int]]) -> bool:
+    """Whether some factor ending at the last position of s has a tabulated
+    period p and need(p) letters, for periods a `period_table`.
+
+    Only entries with need(p) <= len(s) are tried, so one table built for
+    the longest word serves every shorter one; the check is complete for s
+    when the table's bound is at least len(s).
+    """
+    k = len(s)
+    for p, need in periods:
+        if need > k:
+            break
+        if s[k - need : k - p] == s[k - need + p : k]:
+            return True
+    return False
+
+
 def has_suffix_violation(s: Letters, r: Fraction, strict: bool) -> bool:
     """Whether some factor ending at the last position has exponent >= r (> if strict).
 
@@ -332,14 +367,7 @@ def has_suffix_violation(s: Letters, r: Fraction, strict: bool) -> bool:
     appending a letter can only create violations in factors that end at the
     appended position.
     """
-    k = len(s)
-    for p in range(1, k + 1):
-        need = _min_violating_length(p, r, strict)
-        if need > k:
-            break  # nondecreasing in p
-        if s[k - need : k - p] == s[k - need + p : k]:
-            return True
-    return False
+    return suffix_violates(s, period_table(len(s), r, strict))
 
 
 def is_free(w: WordLike, r: Fraction, strict: bool = False) -> bool:

@@ -2,7 +2,12 @@
 
 Counts are exact integers from breadth-first extension with the incremental
 suffix check: appending a letter can only create a violation in a factor
-ending at the new position, so each candidate costs one suffix scan.  Derived
+ending at the new position, so each candidate costs one suffix test, one
+slice comparison per entry of a period table (each period with its least
+violating length) computed once per count.  The frontier is grown in
+process until it holds SHARD_WORDS words per job and is then sharded once:
+with jobs > 1 one worker pool per count extends every shard to the last
+length, and the per-length costs and counts are summed here.  Derived
 quantities (ratios of consecutive counts, k-th roots) are rendered as
 fixed-point decimal strings computed by integer bracketing, so tables are
 reproducible byte for byte across platforms.
@@ -11,12 +16,13 @@ reproducible byte for byte across platforms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ._util import parallel_map, split_chunks
-from .core_words import has_suffix_violation, repetition_threshold
+from .core_words import period_table, repetition_threshold, suffix_violates
 
 DIGITS = 6
 DEFAULT_BUDGET = 2_000_000
@@ -124,24 +130,56 @@ def table_to_csv(table: GrowthTable) -> str:
 
 Word = tuple[int, ...]
 
-
-def _expand_threshold_chunk(args: tuple) -> list:
-    chunk, n, r, strict, symmetry = args
-    out = []
-    for w in chunk:
-        top = n if not symmetry else min(n, (max(w) if w else 0) + 1)
-        for a in range(1, top + 1):
-            ext = w + (a,)
-            if not has_suffix_violation(ext, r, strict):
-                out.append(ext)
-    return out
+# the frontier is split once it holds this many words per job, so each
+# worker gets several subtrees and their sizes even out
+SHARD_WORDS = 8
 
 
-def _falling_factorial(n: int, j: int) -> int:
-    out = 1
-    for i in range(j):
-        out *= n - i
-    return out
+def _grow(
+    frontier: list,
+    length: int,
+    max_length: int,
+    n: int,
+    periods: tuple,
+    symmetry: bool,
+    budget: int,
+) -> Iterator[tuple[int, int, list]]:
+    """Extend frontier, the surviving words of length `length`, one letter
+    at a time up to max_length.
+
+    Yields (cost, weight, frontier) for each new length: cost is the number
+    of candidate extensions examined, weight the number of words the new
+    frontier stands for.  Stops once the frontier is empty, or after the
+    first length whose cost takes the total past budget (yielding that cost
+    with an empty frontier, unextended).
+    """
+    spent = 0
+    while length < max_length and frontier:
+        length += 1
+        tops = [n if not symmetry else min(n, max(w, default=0) + 1) for w in frontier]
+        cost = sum(tops)
+        spent += cost
+        if spent > budget:
+            yield cost, 0, []
+            return
+        frontier = [
+            ext
+            for w, top in zip(frontier, tops)
+            for a in range(1, top + 1)
+            if not suffix_violates(ext := w + (a,), periods)
+        ]
+        if symmetry:
+            # letters first appear in increasing order, so max(w) is the
+            # number of distinct letters
+            weight = sum(math.perm(n, max(w)) for w in frontier)
+        else:
+            weight = len(frontier)
+        yield cost, weight, frontier
+
+
+def _grow_shard(args: tuple) -> list[tuple[int, int]]:
+    """(cost, weight) per length of extending one shard of the frontier."""
+    return [(cost, weight) for cost, weight, _ in _grow(*args)]
 
 
 def count_threshold_words(
@@ -160,6 +198,14 @@ def count_threshold_words(
     marking the first unfinished length.  With symmetry on, only words whose
     letters first appear in increasing order are enumerated and each stands
     in for its renaming class; the counts are identical.
+
+    The frontier grows in this process until it holds SHARD_WORDS words per
+    job; it is then cut into one shard per job, and each shard is extended
+    to max_length by one call of parallel_map.  Each shard stops after the
+    first length whose own cost overruns the budget left at the split;
+    shard costs only add up, so the cut of the whole enumeration comes at
+    or before that length, and it is found here from the summed costs.  The
+    table is the same for every value of jobs.
     """
     if n < 2:
         raise ValueError("threshold languages need an alphabet of size >= 2")
@@ -168,33 +214,38 @@ def count_threshold_words(
     r = repetition_threshold(n)
     params = {"alphabet": n, "threshold": f"{r.numerator}/{r.denominator}",
               "strict": True, "symmetry": symmetry}
-    counts: list[int] = []
-    truncated_at = None
-    frontier: list[Word] = [()]
-    examined = 0
-    for length in range(1, max_length + 1):
-        cost = sum(
-            (n if not symmetry else min(n, (max(w) if w else 0) + 1))
-            for w in frontier
-        )
-        if examined + cost > budget:
-            truncated_at = length
+    periods = period_table(max_length, r, True)
+    levels: list[tuple[int, int]] = []  # (cost, weight) per length
+    split: list[Word] = []
+    for cost, weight, frontier in _grow(
+        [()], 0, max_length, n, periods, symmetry, budget
+    ):
+        levels.append((cost, weight))
+        if len(frontier) >= SHARD_WORDS * jobs:
+            split = frontier
             break
-        examined += cost
-        chunks = split_chunks(frontier, jobs)
+    if split and len(levels) < max_length:
+        left = budget - sum(cost for cost, _ in levels)
         parts = parallel_map(
-            _expand_threshold_chunk,
-            [(c, n, r, True, symmetry) for c in chunks],
+            _grow_shard,
+            [(shard, len(levels), max_length, n, periods, symmetry, left)
+             for shard in split_chunks(split, jobs)],
             jobs,
         )
-        frontier = [w for part in parts for w in part]
-        if symmetry:
-            counts.append(
-                sum(_falling_factorial(n, len(set(w))) for w in frontier)
-            )
-        else:
-            counts.append(len(frontier))
-        if not frontier:
+        # a shard that ran out of words costs nothing past its end; one that
+        # stopped on the budget ends at or after the cut found below
+        for level in itertools.zip_longest(*parts, fillvalue=(0, 0)):
+            levels.append((sum(c for c, _ in level), sum(w for _, w in level)))
+    counts: list[int] = []
+    truncated_at = None
+    examined = 0
+    for length, (cost, weight) in enumerate(levels, start=1):
+        examined += cost
+        if examined > budget:
+            truncated_at = length
+            break
+        counts.append(weight)
+        if not weight:
             counts.extend(0 for _ in range(max_length - length))
             break
     name = f"threshold-words-{n}"

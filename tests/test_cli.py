@@ -284,6 +284,19 @@ def test_jobs_flag_never_changes_bytes():
     assert a.returncode == b.returncode == 0
 
 
+def test_jobs_flag_never_changes_count_bytes():
+    # with --jobs 3 the frontier is split into worker shards at length 10;
+    # the budget 1094 is one short of the cost of length 16, so the cut
+    # comes from the summed shard costs
+    base = ["count", "threshold", "--n", "3", "--k", "18", "--symmetry"]
+    for extra, truncated_at in (([], None), (["--budget", "1094"], 16)):
+        a = _run_subprocess(*base, *extra, "--jobs", "1")
+        b = _run_subprocess(*base, *extra, "--jobs", "3")
+        assert a.stdout == b.stdout
+        assert a.returncode == b.returncode == 0
+        assert json.loads(a.stdout)["payload"]["truncated_at"] == truncated_at
+
+
 def test_jobs_env_var_accepted():
     import os
 

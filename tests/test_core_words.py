@@ -26,8 +26,10 @@ from dejean.core_words import (
     parse_binary,
     parse_ratio,
     parse_word,
+    period_table,
     periods,
     repetition_threshold,
+    suffix_violates,
     word,
 )
 
@@ -409,3 +411,29 @@ def test_longest_repeat_matches_definition(s):
        st.sampled_from(SCAN_BOUNDS + LOW_BOUNDS))
 def test_suffix_violation_matches_oracle(s, bound):
     assert has_suffix_violation(s, *bound) == oracle_suffix_violation(s, *bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_words, near_periodic(alphabets)),
+       st.sampled_from(SCAN_BOUNDS + LOW_BOUNDS), st.integers(0, 8))
+def test_suffix_check_with_a_longer_table(s, bound, extra):
+    # one table built for the longest word serves every shorter one
+    table = period_table(len(s) + extra, *bound)
+    assert suffix_violates(s, table) == oracle_suffix_violation(s, *bound)
+
+
+def test_suffix_check_past_the_last_tabulated_period():
+    # at 7/4 strict the table for k = 10 ends at (5, 9), so a word of ten
+    # letters runs off the end of the table; a violation of that last
+    # period is still found
+    r = Fraction(7, 4)
+    table = period_table(10, r, True)
+    assert table[-1] == (5, 9)
+    words = [w + (a,) for w in all_words(3, 9) if len(w) == 9 and is_free(w, r, True)
+             for a in (1, 2, 3)]
+    assert words
+    for s in words:
+        assert suffix_violates(s, table) == oracle_suffix_violation(s, r, True)
+    last = (5, 1, 2, 3, 4, 5, 1, 2, 3, 4)  # 9 letters of period 5 end it
+    assert oracle_suffix_violation(last, r, True)
+    assert suffix_violates(last, table) and not suffix_violates(last, table[:-1])

@@ -6,6 +6,7 @@ periodic windows with numpy, with no shared code or search strategy with the
 frontier enumeration under test.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dejean import growth
 from dejean.constructions import z4_factors, z4_language, zm_count, zm_is_member
-from dejean.core_words import is_free, parse_word
+from dejean.core_words import (
+    has_suffix_violation,
+    is_free,
+    parse_word,
+    repetition_threshold,
+)
 from dejean.growth import (
+    DEFAULT_BUDGET,
     GrowthTable,
     build_growth_table,
     count_language,
@@ -27,6 +35,7 @@ from dejean.growth import (
     theorem2_lower_bound,
     _int_kth_root,
 )
+from dejean._util import split_chunks
 
 T3_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 186, 240]
 T2_COUNTS = [2, 4, 6, 10, 14, 20, 24, 30, 36, 44, 48, 60]
@@ -60,6 +69,141 @@ def oracle_free_count(alphabet: int, length: int, r: Fraction, strict: bool) -> 
         windows = np.lib.stride_tricks.sliding_window_view(eq, run, axis=1)
         banned |= windows.all(axis=2).any(axis=1)
     return int((~banned).sum())
+
+
+def oracle_expand_chunk(args: tuple) -> list:
+    chunk, n, r, strict, symmetry = args
+    out = []
+    for w in chunk:
+        top = n if not symmetry else min(n, (max(w) if w else 0) + 1)
+        for a in range(1, top + 1):
+            ext = w + (a,)
+            if not has_suffix_violation(ext, r, strict):
+                out.append(ext)
+    return out
+
+
+def oracle_threshold_table(n, max_length, budget=DEFAULT_BUDGET, symmetry=False, r=None):
+    """count_threshold_words as a level-synchronous loop, with the cumulative
+    cost of every length it charged to the budget.
+
+    Each length first charges its candidate extensions to the budget, then
+    extends the whole frontier by one letter, checking each candidate with
+    has_suffix_violation.  r overrides the repetition threshold.
+    """
+    r = repetition_threshold(n) if r is None else r
+    params = {"alphabet": n, "threshold": f"{r.numerator}/{r.denominator}",
+              "strict": True, "symmetry": symmetry}
+    counts, cumulative = [], []
+    truncated_at = None
+    frontier = [()]
+    examined = 0
+    for length in range(1, max_length + 1):
+        cost = sum(
+            (n if not symmetry else min(n, (max(w) if w else 0) + 1))
+            for w in frontier
+        )
+        cumulative.append(examined + cost)
+        if examined + cost > budget:
+            truncated_at = length
+            break
+        examined += cost
+        frontier = oracle_expand_chunk((frontier, n, r, True, symmetry))
+        if symmetry:
+            counts.append(sum(math.perm(n, len(set(w))) for w in frontier))
+        else:
+            counts.append(len(frontier))
+        if not frontier:
+            counts.extend(0 for _ in range(max_length - length))
+            break
+    table = build_growth_table(f"threshold-words-{n}", params, counts, truncated_at)
+    return table, cumulative
+
+
+def serial_shards(monkeypatch, per_word=False):
+    """Run the shards of count_threshold_words in this process, split as for
+    the given jobs, or one shard per word if per_word; returns the lengths
+    of the frontiers that were split."""
+    split_lengths = []
+
+    def split(items, jobs):
+        split_lengths.append(len(items[0]))
+        return [[w] for w in items] if per_word else split_chunks(items, jobs)
+
+    monkeypatch.setattr(growth, "split_chunks", split)
+    monkeypatch.setattr(growth, "parallel_map", lambda fn, items, jobs: [fn(x) for x in items])
+    return split_lengths
+
+
+def assert_matches_oracle(n, max_length, symmetry, r=None):
+    """Every jobs in 1..3 gives the oracle's table, at the default budget and
+    at, one below and one above the cumulative cost of each length."""
+    full, cumulative = oracle_threshold_table(n, max_length, symmetry=symmetry, r=r)
+    budgets = sorted({DEFAULT_BUDGET} | {c + d for c in cumulative for d in (-1, 0, 1)})
+    for budget in budgets:
+        want = full if budget == DEFAULT_BUDGET else oracle_threshold_table(
+            n, max_length, budget, symmetry, r)[0]
+        for jobs in (1, 2, 3):
+            got = count_threshold_words(n, max_length, budget, symmetry, jobs)
+            assert got == want, (n, max_length, symmetry, budget, jobs)
+
+
+# sizes whose frontier is split for every jobs in 1..3, before max_length
+SHARDED_SIZES = [
+    (2, 18, False), (2, 18, True), (3, 16, False), (3, 16, True),
+    (4, 14, False), (4, 18, True), (5, 10, False), (5, 16, True),
+    (6, 8, False), (6, 14, True),
+]
+
+
+@pytest.mark.parametrize("n, max_length, symmetry", SHARDED_SIZES)
+def test_sharded_count_matches_level_loop(monkeypatch, n, max_length, symmetry):
+    split_lengths = serial_shards(monkeypatch)
+    assert_matches_oracle(n, max_length, symmetry)
+    # the shard path ran for each jobs value at the default budget
+    assert max(split_lengths) < max_length
+    assert len(split_lengths) >= 3
+
+
+@pytest.mark.parametrize("n, max_length", [(3, 16), (4, 18), (6, 14)])
+def test_one_shard_per_word_matches_level_loop(monkeypatch, n, max_length):
+    # single-word shards end at different lengths: at (3, 16) some subtrees
+    # die at lengths 8 and 11 while the rest reach 16
+    serial_shards(monkeypatch, per_word=True)
+    assert_matches_oracle(n, max_length, True)
+
+
+def test_empty_table_matches_level_loop(monkeypatch):
+    serial_shards(monkeypatch)
+    for symmetry in (False, True):
+        assert_matches_oracle(3, 0, symmetry)
+
+
+@pytest.mark.parametrize("n, r, max_length, sharded", [
+    (2, Fraction(3, 2), 6, False), (3, Fraction(3, 2), 14, True),
+])
+def test_dying_language_matches_level_loop(monkeypatch, n, r, max_length, sharded):
+    # no threshold language is finite, so a lower bound stands in for one;
+    # the binary one dies before its frontier is split, and the single-word
+    # shards of the ternary one die at lengths 10 and 11
+    split_lengths = serial_shards(monkeypatch, per_word=True)
+    monkeypatch.setattr(growth, "repetition_threshold", lambda _: r)
+    for symmetry in (False, True):
+        assert_matches_oracle(n, max_length, symmetry, r)
+    table = count_threshold_words(n, max_length)
+    assert table.counts[-1] == 0 and table.truncated_at is None
+    assert bool(split_lengths) == sharded
+
+
+@pytest.mark.parametrize("n, max_length, symmetry", [(3, 16, False), (4, 18, True)])
+def test_worker_pools_match_level_loop(n, max_length, symmetry):
+    full, cumulative = oracle_threshold_table(n, max_length, symmetry=symmetry)
+    budget = cumulative[-3]  # cuts two lengths short, after every split
+    cut = oracle_threshold_table(n, max_length, budget, symmetry)[0]
+    assert cut.truncated_at == max_length - 1
+    for jobs in (2, 3):
+        assert count_threshold_words(n, max_length, symmetry=symmetry, jobs=jobs) == full
+        assert count_threshold_words(n, max_length, budget, symmetry, jobs) == cut
 
 
 def test_threshold_counts_ternary_frozen():
