@@ -384,7 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = count_sub.add_parser("threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=2_000_000)
+    p.add_argument(
+        "--budget", type=int, default=2_000_000,
+        help="candidate extensions examined before the table is cut; once the "
+             "frontier is sharded it caps each worker, so the total can reach "
+             "about jobs x budget (the table is the same)")
     p.add_argument("--symmetry", action="store_true")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_jobs(p)

@@ -5,12 +5,14 @@ suffix check: appending a letter can only create a violation in a factor
 ending at the new position, so each candidate costs one suffix test, one
 slice comparison per entry of a period table (each period with its least
 violating length) computed once per count.  The frontier is grown in
-process until it holds SHARD_WORDS words per job and is then sharded once:
-with jobs > 1 one worker pool per count extends every shard to the last
-length, and the per-length costs and counts are summed here.  Derived
-quantities (ratios of consecutive counts, k-th roots) are rendered as
-fixed-point decimal strings computed by integer bracketing, so tables are
-reproducible byte for byte across platforms.
+process until the cost of the latest length times the lengths to go, the
+least work left in a growing language, reaches SPLIT_WORK candidate
+extensions; a count that never gets there finishes in process.  Otherwise
+the frontier is sharded once: with jobs > 1 one worker pool per count
+extends every shard to the last length, and the per-length costs and
+counts are summed here.  Derived quantities (ratios of consecutive counts,
+k-th roots) are rendered as fixed-point decimal strings computed by integer
+bracketing, so tables are reproducible byte for byte across platforms.
 """
 
 from __future__ import annotations
@@ -130,9 +132,12 @@ def table_to_csv(table: GrowthTable) -> str:
 
 Word = tuple[int, ...]
 
-# the frontier is split once it holds this many words per job, so each
-# worker gets several subtrees and their sizes even out
-SHARD_WORDS = 8
+# the frontier is sharded at the first length whose cost, times the lengths
+# still to go, reaches this many candidate extensions; in a growing language
+# no later length costs less, so at least that much work is left (about
+# 0.2 s in one process, several times the cost of starting workers), and
+# counts that never get there finish in process
+SPLIT_WORK = 40_000
 
 
 def _grow(
@@ -192,20 +197,23 @@ def count_threshold_words(
     """Count words over an n-letter alphabet whose every factor stays at or
     below the repetition threshold (exponents strictly above it are banned).
 
-    The frontier for each length is extended one letter at a time; budget
-    bounds the total number of candidate extensions examined, and hitting it
-    yields the table for the lengths already finished, with truncated_at
-    marking the first unfinished length.  With symmetry on, only words whose
-    letters first appear in increasing order are enumerated and each stands
-    in for its renaming class; the counts are identical.
+    The frontier for each length is extended one letter at a time, and
+    budget caps the candidate extensions examined: hitting it yields the
+    table for the lengths already finished, with truncated_at marking the
+    first unfinished length.  With symmetry on, only words whose letters
+    first appear in increasing order are enumerated and each stands in for
+    its renaming class; the counts are identical.
 
-    The frontier grows in this process until it holds SHARD_WORDS words per
-    job; it is then cut into one shard per job, and each shard is extended
-    to max_length by one call of parallel_map.  Each shard stops after the
-    first length whose own cost overruns the budget left at the split;
-    shard costs only add up, so the cut of the whole enumeration comes at
-    or before that length, and it is found here from the summed costs.  The
-    table is the same for every value of jobs.
+    The frontier grows in this process until the cost of the latest length
+    times the lengths to go reaches SPLIT_WORK (a small count finishes
+    here); it is then cut into one shard per job, and each shard is
+    extended to max_length by one call of parallel_map.  Each shard stops
+    after the first length whose own cost overruns the budget left at the
+    split; shard costs only add up, so the cut of the whole enumeration
+    comes at or before that length, and it is found here from the summed
+    costs.  The table is the same for every value of jobs, but the budget
+    caps the work of each shard, not their sum: a count cut after the
+    split may examine up to about jobs times the budget left there.
     """
     if n < 2:
         raise ValueError("threshold languages need an alphabet of size >= 2")
@@ -221,10 +229,10 @@ def count_threshold_words(
         [()], 0, max_length, n, periods, symmetry, budget
     ):
         levels.append((cost, weight))
-        if len(frontier) >= SHARD_WORDS * jobs:
+        if cost * (max_length - len(levels)) >= SPLIT_WORK:
             split = frontier
             break
-    if split and len(levels) < max_length:
+    if split:
         left = budget - sum(cost for cost, _ in levels)
         parts = parallel_map(
             _grow_shard,

@@ -285,13 +285,16 @@ def test_jobs_flag_never_changes_bytes():
 
 
 def test_jobs_flag_never_changes_count_bytes():
-    # with --jobs 3 the frontier is split into worker shards at length 10;
-    # the budget 1094 is one short of the cost of length 16, so the cut
-    # comes from the summed shard costs
-    base = ["count", "threshold", "--n", "3", "--k", "18", "--symmetry"]
-    for extra, truncated_at in (([], None), (["--budget", "1094"], 16)):
-        a = _run_subprocess(*base, *extra, "--jobs", "1")
-        b = _run_subprocess(*base, *extra, "--jobs", "3")
+    # the frontier is split into worker shards at length 28 of (3, 37) and
+    # at length 26 of (3, 42), the first whose cost times the lengths to go
+    # reaches SPLIT_WORK; the budget 136748 is one short of the cumulative
+    # cost of length 36, and with --jobs 3 each shard overruns what is left
+    # of it only at length 41, so the cut comes from the summed shard costs
+    cases = (("37", [], None), ("42", ["--budget", "136748"], 36))
+    for k, extra, truncated_at in cases:
+        base = ["count", "threshold", "--n", "3", "--k", k, "--symmetry", *extra]
+        a = _run_subprocess(*base, "--jobs", "1")
+        b = _run_subprocess(*base, "--jobs", "3")
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
         assert json.loads(a.stdout)["payload"]["truncated_at"] == truncated_at

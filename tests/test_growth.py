@@ -120,16 +120,18 @@ def oracle_threshold_table(n, max_length, budget=DEFAULT_BUDGET, symmetry=False,
     return table, cumulative
 
 
-def serial_shards(monkeypatch, per_word=False):
-    """Run the shards of count_threshold_words in this process, split as for
-    the given jobs, or one shard per word if per_word; returns the lengths
-    of the frontiers that were split."""
+def serial_shards(monkeypatch, per_word=False, split_work=40):
+    """Run the shards of count_threshold_words in this process, with
+    SPLIT_WORK set to split_work, split as for the given jobs, or one shard
+    per word if per_word; returns the lengths of the frontiers that were
+    split."""
     split_lengths = []
 
     def split(items, jobs):
         split_lengths.append(len(items[0]))
         return [[w] for w in items] if per_word else split_chunks(items, jobs)
 
+    monkeypatch.setattr(growth, "SPLIT_WORK", split_work)
     monkeypatch.setattr(growth, "split_chunks", split)
     monkeypatch.setattr(growth, "parallel_map", lambda fn, items, jobs: [fn(x) for x in items])
     return split_lengths
@@ -156,9 +158,10 @@ SHARDED_SIZES = [
 ]
 
 
+@pytest.mark.parametrize("split_work", [1, 40])
 @pytest.mark.parametrize("n, max_length, symmetry", SHARDED_SIZES)
-def test_sharded_count_matches_level_loop(monkeypatch, n, max_length, symmetry):
-    split_lengths = serial_shards(monkeypatch)
+def test_sharded_count_matches_level_loop(monkeypatch, n, max_length, symmetry, split_work):
+    split_lengths = serial_shards(monkeypatch, split_work=split_work)
     assert_matches_oracle(n, max_length, symmetry)
     # the shard path ran for each jobs value at the default budget
     assert max(split_lengths) < max_length
@@ -168,7 +171,8 @@ def test_sharded_count_matches_level_loop(monkeypatch, n, max_length, symmetry):
 @pytest.mark.parametrize("n, max_length", [(3, 16), (4, 18), (6, 14)])
 def test_one_shard_per_word_matches_level_loop(monkeypatch, n, max_length):
     # single-word shards end at different lengths: at (3, 16) some subtrees
-    # die at lengths 8 and 11 while the rest reach 16
+    # die at length 11 and at (4, 18) at lengths 12 and 13, while the rest
+    # reach max_length
     serial_shards(monkeypatch, per_word=True)
     assert_matches_oracle(n, max_length, True)
 
@@ -195,8 +199,23 @@ def test_dying_language_matches_level_loop(monkeypatch, n, r, max_length, sharde
     assert bool(split_lengths) == sharded
 
 
+def record_splits(monkeypatch):
+    """Lengths of the frontiers count_threshold_words splits, with the real
+    split_chunks and parallel_map."""
+    split_lengths = []
+
+    def split(items, jobs):
+        split_lengths.append(len(items[0]))
+        return split_chunks(items, jobs)
+
+    monkeypatch.setattr(growth, "split_chunks", split)
+    return split_lengths
+
+
 @pytest.mark.parametrize("n, max_length, symmetry", [(3, 16, False), (4, 18, True)])
-def test_worker_pools_match_level_loop(n, max_length, symmetry):
+def test_worker_pools_match_level_loop(monkeypatch, n, max_length, symmetry):
+    monkeypatch.setattr(growth, "SPLIT_WORK", 40)
+    split_lengths = record_splits(monkeypatch)
     full, cumulative = oracle_threshold_table(n, max_length, symmetry=symmetry)
     budget = cumulative[-3]  # cuts two lengths short, after every split
     cut = oracle_threshold_table(n, max_length, budget, symmetry)[0]
@@ -204,6 +223,28 @@ def test_worker_pools_match_level_loop(n, max_length, symmetry):
     for jobs in (2, 3):
         assert count_threshold_words(n, max_length, symmetry=symmetry, jobs=jobs) == full
         assert count_threshold_words(n, max_length, budget, symmetry, jobs) == cut
+    assert len(split_lengths) == 4 and max(split_lengths) < max_length - 2
+
+
+def test_small_counts_stay_in_process(monkeypatch):
+    # the work left after any length of these tables stays under SPLIT_WORK
+    # (at most 17,580 candidates, after length 31 of (6, 36)), so no pool starts
+    split_lengths = record_splits(monkeypatch)
+    monkeypatch.setattr(growth, "parallel_map", None)
+    for n, max_length in ((3, 28), (4, 34), (6, 36), (3, 32)):
+        count_threshold_words(n, max_length, symmetry=True, jobs=3)
+    assert split_lengths == []
+
+
+def test_split_at_first_length_leaving_split_work(monkeypatch):
+    # at (3, 36) with symmetry, length 29 costs 5,712 candidates, and
+    # 5,712 * 7 = 39,984 falls short of SPLIT_WORK = 40,000; length 30
+    # costs 7,182, and 7,182 * 6 = 43,092 reaches it
+    split_lengths = record_splits(monkeypatch)
+    monkeypatch.setattr(growth, "parallel_map", lambda fn, items, jobs: [fn(x) for x in items])
+    table = count_threshold_words(3, 36, symmetry=True, jobs=2)
+    assert split_lengths == [30]
+    assert table == count_threshold_words(3, 36, 10**9, symmetry=True, jobs=1)
 
 
 def test_threshold_counts_ternary_frozen():
