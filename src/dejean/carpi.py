@@ -26,7 +26,9 @@ from .core_words import (
     ReportKind,
     Word,
     WordLike,
+    equal_signature_pairs,
     find_forbidden_factor,
+    kernel_signatures,
     letters_of,
 )
 from .pansiot import find_kernel_repetition, find_stabilizing_violation, gamma
@@ -100,35 +102,22 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     letters = letters_of(w)
     if n >= 9:
         m = params(n).m
-        bad = [a for a in letters if a > m]
+        bad = [a for a in letters if not 1 <= a <= m]
         if bad:
             raise ValueError(f"letter {bad[0]} outside source alphabet of size {m}")
     L = len(letters)
-    width = max(letters, default=1)
-    sig = [0] * width
-    sigs = [tuple(sig)]
-    for a in letters:
-        sig[a - 1] = (sig[a - 1] + 1) & 3
-        sigs.append(tuple(sig))
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, s in enumerate(sigs):
-        groups.setdefault(s, []).append(i)
-
     best = None  # (start0, length, q)
-    for g in groups.values():
-        for xi in range(len(g) - 1):
-            t = g[xi]
-            for yi in range(xi + 1, len(g)):
-                q = g[yi] - t
-                e = t + q
-                while e < L and letters[e] == letters[e - q]:
-                    e += 1
-                lmin = min_psi_repetition_length(n, q)
-                if lmin > e - t:
-                    continue
-                cand = (t, lmin, q)
-                if best is None or cand < best:
-                    best = cand
+    for t, e in equal_signature_pairs(kernel_signatures(letters)):
+        q = e - t
+        while e < L and letters[e] == letters[e - q]:
+            e += 1
+        # the inequality holds for some length exactly when it holds for
+        # the whole run, so the shortest passing length is computed only then
+        if (n - 1) * (e - t + 1) < n * q - 3:
+            continue
+        cand = (t, min_psi_repetition_length(n, q), q)
+        if best is None or cand < best:
+            best = cand
     if best is None:
         return None
     t, length, q = best

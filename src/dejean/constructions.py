@@ -57,7 +57,11 @@ def _even_position_letter(m: int, i: int) -> int:
 
 def alpha_prefix(m: int, k: int) -> str:
     """First k letters over A_m: odd positions follow beta, even position i
-    carries min(m, v + 2) where v is the number of times 4 divides i."""
+    carries min(m, v + 2) where v is the number of times 4 divides i.
+
+    The word is a digit string, so a letter above 9 raises ValueError: for
+    m >= 10 the first one is the letter 10 at position 4^8 = 65,536.
+    """
     if m < 4:
         raise ValueError("alphabet size must be at least 4")
     if k < 0:
@@ -68,7 +72,10 @@ def alpha_prefix(m: int, k: int) -> str:
         if i % 2 == 1:
             out.append(beta[(i + 1) // 2 - 1])
         else:
-            out.append(str(_even_position_letter(m, i)))
+            a = _even_position_letter(m, i)
+            if a > 9:
+                raise ValueError(f"letter {a} at position {i} does not fit in one digit")
+            out.append(str(a))
     return "".join(out)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Optional, Sequence, Union
+from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
 
 Letters = Sequence[int]
 
@@ -175,6 +175,37 @@ def letter_counts(w: WordLike, alphabet_size: Optional[int] = None) -> dict[int,
     for a in s:
         counts[a] += 1
     return counts
+
+
+def kernel_signatures(letters: Iterable[int], sig: int = 0) -> list[int]:
+    """Prefix letter counts mod 4, packed two bits per letter (letter a in
+    bits 2a-2 and 2a-1), for positive integer letters: out[0] = sig and
+    out[i] the signature after the first i letters.
+
+    Passing the signature of a prefix as sig resumes the scan after it.
+    Two equal signatures out[i] == out[j] mark a factor letters[i:j] whose
+    letter counts are all divisible by 4, a kernel word.
+    """
+    out = [sig]
+    append = out.append
+    for a in letters:
+        sh = 2 * a - 2
+        sig = (sig & ~(3 << sh)) | ((((sig >> sh) + 1) & 3) << sh)
+        append(sig)
+    return out
+
+
+def equal_signature_pairs(sigs: Iterable[Hashable]) -> Iterator[tuple[int, int]]:
+    """Every pair i < j with sigs[i] == sigs[j], grouped by signature in
+    order of first occurrence, then by i, then by j."""
+    groups: dict = {}
+    for i, sg in enumerate(sigs):
+        groups.setdefault(sg, []).append(i)
+    for g in groups.values():
+        for a in range(len(g) - 1):
+            i = g[a]
+            for j in islice(g, a + 1, None):
+                yield i, j
 
 
 def repetition_threshold(n: int) -> Fraction:

@@ -23,6 +23,7 @@ from .core_words import (
     RepetitionReport,
     ReportKind,
     Word,
+    equal_signature_pairs,
     minimal_period,
     parse_binary,
 )
@@ -176,31 +177,23 @@ def find_kernel_repetition(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
     """
     letters = as_binary_letters(u)
     L = len(letters)
-    P = prefix_permutations(n, letters)
-    groups: dict[Perm, list[int]] = {}
-    for idx, perm in enumerate(P):
-        groups.setdefault(perm, []).append(idx)
-
     best = None  # (start0, length, p)
-    for g in groups.values():
-        for xi in range(len(g) - 1):
-            t = g[xi]
-            for yi in range(xi + 1, len(g)):
-                p = g[yi] - t
-                # maximal run of letters[x] == letters[x+p] around [t, t+p)
-                a = t
-                while a > 0 and letters[a - 1] == letters[a - 1 + p]:
-                    a -= 1
-                e = t
-                while e + p < L and letters[e] == letters[e + p]:
-                    e += 1
-                max_len = e + p - a
-                lmin = max(p, (n * p - (n - 1) * (n - 1)) // (n - 1) + 1)
-                if lmin > max_len:
-                    continue
-                cand = (a, max(lmin, (t + p) - a), p)
-                if best is None or cand < best:
-                    best = cand
+    for t, j in equal_signature_pairs(prefix_permutations(n, letters)):
+        p = j - t
+        # maximal run of letters[x] == letters[x+p] around [t, t+p)
+        a = t
+        while a > 0 and letters[a - 1] == letters[a - 1 + p]:
+            a -= 1
+        e = t
+        while e + p < L and letters[e] == letters[e + p]:
+            e += 1
+        max_len = e + p - a
+        lmin = max(p, (n * p - (n - 1) * (n - 1)) // (n - 1) + 1)
+        if lmin > max_len:
+            continue
+        cand = (a, max(lmin, j - a), p)
+        if best is None or cand < best:
+            best = cand
     if best is None:
         return None
     a, length, p = best

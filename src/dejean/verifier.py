@@ -1,12 +1,16 @@
 """Exhaustive and sampled checks over the source-word languages.
 
-The heavy searches all reduce to one primitive: find the prefixes s[:q] whose
-letter counts are all divisible by 4, so s[:q] is a kernel word and q a kernel
-period of every prefix of s on which the period holds.  Every factor of the
-language extends to the right, so each factor with a kernel period is a
-prefix of some distinct factor of the engine's cutoff length.  The checks walk
-those factors once, in sorted order, and recompute prefix signatures only past
-the common prefix with the previous one.
+The heavy searches all reduce to one primitive, kernel_signatures and
+equal_signature_pairs in core_words: two equal prefix signatures (letter
+counts mod 4) mark a kernel factor, whose period run is then extended.  The
+carpi scanner and check_lemma6 take every signature-equal pair, as the
+pansiot scanner does with prefix permutations for signatures.  The walks
+here take the prefixes s[:q] of signature 0, so s[:q] is a kernel word and q
+a kernel period of every prefix of s on which the period holds.  Every
+factor of the language extends to the right, so each factor with a kernel
+period is a prefix of some distinct factor of the engine's cutoff length.
+The checks walk those factors once, in sorted order, and recompute prefix
+signatures only past the common prefix with the previous one.
 
 Each check returns a VerificationReport: a status string plus a payload of
 counts and verbatim witnesses, so results can be pinned by golden files.
@@ -29,7 +33,12 @@ from .carpi import (
     min_psi_repetition_length,
 )
 from .constructions import Z4Language, g_expand, z4_language, zm_is_member, zm_samples
-from .core_words import WordLike, letters_of
+from .core_words import (
+    WordLike,
+    equal_signature_pairs,
+    kernel_signatures,
+    letters_of,
+)
 from .pansiot import shortest_k_stabilizing_factor
 
 
@@ -80,16 +89,12 @@ class VerificationReport:
 # ------------------------------------------------------------ scan core
 
 
-def _int_sigs(s: str) -> list[int]:
-    """Prefix letter counts mod 4, packed two bits per digit letter."""
-    sig = 0
-    out = [0]
-    append = out.append
-    for ch in s:
-        sh = (ord(ch) - 49) * 2
-        sig = (sig & ~(3 << sh)) | ((((sig >> sh) + 1) & 3) << sh)
-        append(sig)
-    return out
+_DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _int_sigs(s: str, sig: int = 0) -> list[int]:
+    """kernel_signatures of a digit string, resumed from sig."""
+    return kernel_signatures(s.encode().translate(_DIGIT_LETTERS), sig)
 
 
 def _common_prefix_length(a: str, b: str) -> int:
@@ -118,13 +123,7 @@ def _prefix_candidates(
         if s == prev:
             continue
         c = _common_prefix_length(prev, s)
-        del sigs[c + 1 :]
-        sig = sigs[c]
-        append = sigs.append
-        for ch in s[c:]:
-            sh = (ord(ch) - 49) * 2
-            sig = (sig & ~(3 << sh)) | ((((sig >> sh) + 1) & 3) << sh)
-            append(sig)
+        sigs[c:] = _int_sigs(s[c:], sigs[c])
         n = len(s)
         # periods up to c were yielded for the previous string, but those
         # from c - 2 on extend past the common prefix
@@ -415,9 +414,7 @@ def binary_avoidance_longest(
             )
         for c in "12":
             s.append(c)
-            sh = (ord(c) - 49) * 2
-            sig = sigs[-1]
-            sigs.append((sig & ~(3 << sh)) | ((((sig >> sh) + 1) & 3) << sh))
+            sigs.append(_int_sigs(c, sigs[-1])[1])
             if not suffix_repetition():
                 dfs()
             s.pop()
@@ -434,46 +431,31 @@ def binary_avoidance_max_length(n: int = 26, depth_cap: int = 64) -> int:
 # ------------------------------------------------------------ desk checks
 
 
-def check_lemma6(m: int, z: WordLike, exhaustive_factors: bool = True) -> VerificationReport:
+def check_lemma6(m: int, z: WordLike) -> VerificationReport:
     """Every kernel factor of a member of Z_m must have length divisible by
-    4^(m-1).  Kernel factors are located as signature-equal position pairs;
-    with exhaustive_factors off, only prefix factors are examined."""
+    4^(m-1).  Kernel factors are located as signature-equal position pairs."""
     if m < 5:
         raise ValueError("alphabet size must be at least 5")
     if not zm_is_member(m, z):
         raise ValueError("word is not a member of the language")
-    s = "".join(str(a) for a in letters_of(z))
-    sigs = _int_sigs(s)
+    letters = letters_of(z)
     modulus = 4 ** (m - 1)
     lengths: set[int] = set()
     violations: list[dict] = []
     pairs = 0
-    if exhaustive_factors:
-        groups: dict[int, list[int]] = {}
-        for i, sg in enumerate(sigs):
-            groups.setdefault(sg, []).append(i)
-        for g in groups.values():
-            for a in range(len(g) - 1):
-                for b in range(a + 1, len(g)):
-                    pairs += 1
-                    ln = g[b] - g[a]
-                    lengths.add(ln)
-                    if ln % modulus:
-                        violations.append({"start": g[a] + 1, "length": ln})
-    else:
-        for j in range(1, len(sigs)):
-            if sigs[j] == 0:
-                pairs += 1
-                lengths.add(j)
-                if j % modulus:
-                    violations.append({"start": 1, "length": j})
+    for i, j in equal_signature_pairs(kernel_signatures(letters)):
+        pairs += 1
+        ln = j - i
+        lengths.add(ln)
+        if ln % modulus:
+            violations.append({"start": i + 1, "length": ln})
     return VerificationReport(
         "kernel-factor-divisibility",
         "pass" if not violations else "fail",
         {
             "m": m,
             "modulus": modulus,
-            "word_length": len(s),
+            "word_length": len(letters),
             "kernel_factors": pairs,
             "kernel_lengths": sorted(lengths),
             "violations": violations,

@@ -172,6 +172,8 @@ def test_find_rejects_letters_outside_source_alphabet():
         find_psi_kernel_repetition(27, "15")  # m = 4
     with pytest.raises(ValueError):
         find_psi_kernel_repetition(9, "2")  # m = 1
+    with pytest.raises(ValueError, match="outside source alphabet"):
+        find_psi_kernel_repetition(9, "10")
     with pytest.raises(ValueError):
         find_psi_kernel_repetition(1, "1")
 

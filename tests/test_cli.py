@@ -7,15 +7,20 @@ subprocesses to pin byte-level determinism of the printed document.
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dejean
 from dejean.cli import EXIT_CODES, main
+
+SRC = str(Path(dejean.__file__).resolve().parents[1])
 
 T3_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 186, 240]
 
@@ -105,6 +110,11 @@ def test_gen_alpha(capsys):
     code, doc = run_doc(capsys, "gen", "alpha", "--m", "5", "--k", "8")
     assert code == 0
     assert len(doc["payload"]["words"][0]) == 8
+    # the letter 10 at position 4^8 has no one-digit form
+    code, doc = run_doc(capsys, "gen", "alpha", "--m", "10", "--k", "65536")
+    assert code == 1
+    assert doc["status"] == "fail"
+    assert "one digit" in doc["payload"]["error"]
 
 
 def test_gen_zm_limit(capsys):
@@ -263,6 +273,10 @@ def test_bad_input_fails_with_one_document(capsys, monkeypatch, argv, env):
 
 
 def _run_subprocess(*argv, env=None):
+    # the child imports the same package as the tests, with or without
+    # PYTHONPATH set by the caller
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "dejean.cli", *argv],
         capture_output=True,
@@ -301,8 +315,6 @@ def test_jobs_flag_never_changes_count_bytes():
 
 
 def test_jobs_env_var_accepted():
-    import os
-
     env = dict(os.environ, DEJEAN_JOBS="2")
     a = _run_subprocess("count", "threshold", "--n", "3", "--k", "8", env=env)
     b = _run_subprocess("count", "threshold", "--n", "3", "--k", "8")

@@ -143,6 +143,13 @@ def test_alpha_prefix_validation():
         alpha_prefix(3, 5)
     with pytest.raises(ValueError):
         alpha_prefix(4, -1)
+    # for m >= 10 the letter 10 first falls at position 4^8 = 65,536
+    assert len(alpha_prefix(10, 65535)) == 65535
+    assert len(alpha_prefix(9, 65536)) == 65536
+    with pytest.raises(ValueError):
+        alpha_prefix(10, 65536)
+    with pytest.raises(ValueError):
+        zm_samples(12, 65536, 1)
 
 
 def test_alpha_positions():

@@ -23,6 +23,7 @@ from dejean.carpi import (
     min_psi_repetition_length,
 )
 from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
+from dejean.core_words import equal_signature_pairs, kernel_signatures
 from dejean._util import split_chunks
 from dejean import constructions, verifier
 from dejean.verifier import (
@@ -59,14 +60,40 @@ kernel_rich_words = st.lists(
 # ---------------------------------------------------------------- scan core
 
 
-@given(st.text(alphabet="12345", max_size=80))
-def test_int_sigs_match_direct_counts(s):
+@given(
+    st.text(alphabet="12345", max_size=80),
+    st.lists(st.integers(1, 12), max_size=80),
+)
+def test_int_sigs_match_direct_counts(s, u):
     sigs = _int_sigs(s)
     for i in range(len(s) + 1):
         want = 0
         for c in set(s[:i]):
             want |= (s[:i].count(c) % 4) << ((ord(c) - 49) * 2)
         assert sigs[i] == want
+    # integer letters past 9, as in the source alphabets from n = 63 on
+    sigs = kernel_signatures(u)
+    for i in range(len(u) + 1):
+        want = 0
+        for a in set(u[:i]):
+            want |= (u[:i].count(a) % 4) << ((a - 1) * 2)
+        assert sigs[i] == want
+    # resuming from the signature of a prefix continues the same scan
+    cut = len(u) // 2
+    assert sigs[:cut] + kernel_signatures(u[cut:], sigs[cut]) == sigs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 6), max_size=60))
+def test_equal_signature_pairs_are_the_kernel_factors(u):
+    pairs = list(equal_signature_pairs(kernel_signatures(u)))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == {
+        (i, j)
+        for i in range(len(u) + 1)
+        for j in range(i + 1, len(u) + 1)
+        if in_psi_kernel(u[i:j])
+    }
 
 
 def _tail_candidates(s: str, cap: int):
@@ -474,12 +501,25 @@ def test_lemma6_vacuous_short_member():
     assert rep.payload["kernel_lengths"] == []
 
 
-def test_lemma6_prefix_only_mode():
-    z = zm_samples(5, 2048, 1, seed=3)[0]
-    full = check_lemma6(5, z, exhaustive_factors=True)
-    pref = check_lemma6(5, z, exhaustive_factors=False)
-    assert pref.passed
-    assert set(pref.payload["kernel_lengths"]) <= set(full.payload["kernel_lengths"])
+@pytest.mark.parametrize("length", [1, 40, 256, 257, 300])
+def test_lemma6_counts_every_kernel_factor(length):
+    # brute force over every factor of short members, past the first length
+    # (256) where kernel factors appear: count the letters of z[i:j] for
+    # each start i and each end j
+    found = 0
+    for z in zm_samples(5, length, 3, seed=2):
+        factors = []
+        for i in range(length):
+            counts = dict.fromkeys("12345", 0)
+            for j in range(i, length):
+                counts[z[j]] += 1
+                if all(c % 4 == 0 for c in counts.values()):
+                    factors.append(j + 1 - i)
+        rep = check_lemma6(5, z)
+        assert rep.payload["kernel_factors"] == len(factors)
+        assert rep.payload["kernel_lengths"] == sorted(set(factors))
+        found += len(factors)
+    assert bool(found) == (length >= 256)
 
 
 def test_lemma6_preconditions():
