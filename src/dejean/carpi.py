@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .core_words import (
     RepetitionReport,
@@ -31,7 +31,7 @@ from .core_words import (
     kernel_signatures,
     letters_of,
 )
-from .pansiot import find_kernel_repetition, find_stabilizing_violation, gamma
+from .pansiot import gamma
 
 
 @dataclass(frozen=True)
@@ -68,22 +68,6 @@ def in_psi_kernel(v: WordLike) -> bool:
     return all(c % 4 == 0 for c in counts.values())
 
 
-def kernel_periods(v: WordLike) -> list[int]:
-    """Periods p of v whose length-p prefix is a kernel word."""
-    s = letters_of(v)
-    k = len(s)
-    out = []
-    for p in range(1, k + 1):
-        if all(s[i] == s[i + p] for i in range(k - p)) and in_psi_kernel(s[:p]):
-            out.append(p)
-    return out
-
-
-def psi_repetition_length_ok(n: int, length: int, q: int) -> bool:
-    """(n-1)(|v|+1) >= nq - 3, evaluated in integers."""
-    return (n - 1) * (length + 1) >= n * q - 3
-
-
 def min_psi_repetition_length(n: int, q: int) -> int:
     """Smallest |v| >= q satisfying the length inequality for period q."""
     return max(q, -(-(n * q - 3) // (n - 1)) - 1)
@@ -96,6 +80,8 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     Any length-q window of a q-periodic word is an anagram of its length-q
     prefix, so only prefixes are tested; candidate starts are exactly the
     positions where the running letter-count signature (mod 4) recurs.
+    Letters must lie in the source alphabet A_m from order 9 on, and be
+    positive below it; any other letter raises ValueError.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
@@ -103,8 +89,12 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     if n >= 9:
         m = params(n).m
         bad = [a for a in letters if not 1 <= a <= m]
-        if bad:
-            raise ValueError(f"letter {bad[0]} outside source alphabet of size {m}")
+        where = f"source alphabet of size {m}"
+    else:
+        bad = [a for a in letters if a < 1]
+        where = "the positive integers"
+    if bad:
+        raise ValueError(f"letter {bad[0]} outside {where}")
     L = len(letters)
     best = None  # (start0, length, q)
     for t, e in equal_signature_pairs(kernel_signatures(letters)):
@@ -217,12 +207,6 @@ def apply_morphism(t: MorphismTable, w: WordLike) -> Word:
     return Word(tuple(out), 2)
 
 
-def check_carpi_short(t: MorphismTable, w: WordLike) -> Optional[RepetitionReport]:
-    """Scan the image of w for a k-stabilizing factor of length < k(n-1)."""
-    image = apply_morphism(t, w)
-    return find_stabilizing_violation(t.n, image)
-
-
 class PipelineError(ValueError):
     """A verification stage of the pipeline failed; carries the report."""
 
@@ -250,24 +234,3 @@ def threshold_pipeline(t: MorphismTable, w: WordLike, verify: bool = False) -> W
         if rep is not None:
             raise PipelineError("output", rep)
     return out
-
-
-def prop82_harness(t: MorphismTable, words: Iterable[WordLike]) -> dict:
-    """Check, on given words, that a kernel repetition in the image implies a
-    psi-kernel repetition in the preimage (contrapositive form: preimage clean
-    must give image clean).  Words with a psi-kernel repetition are vacuous."""
-    checked = 0
-    vacuous = 0
-    violations = []
-    for w in words:
-        if find_psi_kernel_repetition(t.n, w) is not None:
-            vacuous += 1
-            continue
-        checked += 1
-        image = apply_morphism(t, w)
-        rep = find_kernel_repetition(t.n, image)
-        if rep is not None:
-            violations.append(
-                {"word": "".join(str(a) for a in letters_of(w)), "image_report": rep.to_payload()}
-            )
-    return {"checked": checked, "vacuous": vacuous, "violations": violations}

@@ -25,8 +25,8 @@ from .constructions import (
     alpha_prefix,
     beta_prefix,
     z4_language,
+    zm_count,
     zm_enumerate,
-    zm_is_member,
     zm_samples,
 )
 from .core_words import (
@@ -38,6 +38,7 @@ from .core_words import (
     repetition_threshold,
 )
 from .growth import (
+    build_growth_table,
     count_language,
     count_threshold_words,
     growth_estimate,
@@ -181,14 +182,19 @@ def _cmd_count_threshold(args) -> CommandResult:
 
 
 def _cmd_count_zm(args) -> CommandResult:
-    m = args.m
-    table = count_language(
-        lambda w: zm_is_member(m, w),
-        m,
-        args.k,
-        prefix_closed=True,
-        name=f"zm-{m}",
-        parameters={"m": m},
+    # the closed form; the parameters and errors are those of enumerating
+    # Z_m with count_language, whose tables these are
+    m, k = args.m, args.k
+    if m < 1:
+        raise ValueError("alphabet_size must be positive")
+    if k < 0:
+        raise ValueError("max_length must be nonnegative")
+    if k and m < 4:
+        raise ValueError("alphabet size must be at least 4")
+    table = build_growth_table(
+        f"zm-{m}",
+        {"alphabet": m, "prefix_closed": True, "m": m},
+        [zm_count(length) for length in range(1, k + 1)],
     )
     return _table_result(args, table)
 

@@ -158,11 +158,6 @@ def g_apply(words: Iterable[WordLike]) -> set[str]:
     return out
 
 
-def g_branch_count(w: WordLike) -> int:
-    """2 to the number of occurrences of the branching letter 4."""
-    return 2 ** sum(1 for a in letters_of(w) if a == 4)
-
-
 _LEVEL_COUNT_CAP = 5  # |g^6(1)| is about 5.4e8 words; refuse beyond this
 
 
@@ -177,16 +172,6 @@ def g_level(k: int) -> list[str]:
     for _ in range(k):
         words = g_apply(words)
     return sorted(words)
-
-
-def level_letter_counts(k: int) -> tuple[int, int, int, int]:
-    """Letter counts shared by every word of g^k(1), via the count transform
-    (c1, c2, c3, c4) -> (2(c1+c2+c3)+c4, c1+c4, c3+c4, c2)."""
-    c = (1, 0, 0, 0)
-    for _ in range(k):
-        c1, c2, c3, c4 = c
-        c = (2 * (c1 + c2 + c3) + c4, c1 + c4, c3 + c4, c2)
-    return c
 
 
 class Z4Language:

@@ -85,10 +85,6 @@ def parse_binary(text: str) -> Word:
     return Word(letters, 2)
 
 
-def format_binary(w: WordLike) -> str:
-    return "".join("01"[a - 1] for a in letters_of(w))
-
-
 def letters_of(w: WordLike) -> tuple[int, ...]:
     """Letters of a Word, a digit string, or a raw letter sequence."""
     if isinstance(w, Word):
@@ -138,13 +134,6 @@ class RepetitionReport:
         return out
 
 
-def periods(w: WordLike) -> list[int]:
-    """All periods of w within {1..|w|}, straight from the definition."""
-    s = letters_of(w)
-    k = len(s)
-    return [p for p in range(1, k + 1) if all(s[i] == s[i + p] for i in range(k - p))]
-
-
 def minimal_period(w: WordLike) -> int:
     s = letters_of(w)
     k = len(s)
@@ -162,19 +151,6 @@ def max_exponent(w: WordLike) -> Fraction:
     if not s:
         raise ValueError("empty word has no exponent")
     return Fraction(len(s), minimal_period(s))
-
-
-def letter_counts(w: WordLike, alphabet_size: Optional[int] = None) -> dict[int, int]:
-    """Occurrence count of every letter 1..alphabet_size (zeros included)."""
-    if alphabet_size is None:
-        if not isinstance(w, Word):
-            raise ValueError("alphabet_size required unless w is a Word")
-        alphabet_size = w.alphabet_size
-    s = letters_of(w)
-    counts = {a: 0 for a in range(1, alphabet_size + 1)}
-    for a in s:
-        counts[a] += 1
-    return counts
 
 
 def kernel_signatures(letters: Iterable[int], sig: int = 0) -> list[int]:
@@ -389,16 +365,6 @@ def suffix_violates(s: Letters, periods: Sequence[tuple[int, int]]) -> bool:
         if s[k - need : k - p] == s[k - need + p : k]:
             return True
     return False
-
-
-def has_suffix_violation(s: Letters, r: Fraction, strict: bool) -> bool:
-    """Whether some factor ending at the last position has exponent >= r (> if strict).
-
-    This is the incremental check used when growing words letter by letter:
-    appending a letter can only create violations in factors that end at the
-    appended position.
-    """
-    return suffix_violates(s, period_table(len(s), r, strict))
 
 
 def is_free(w: WordLike, r: Fraction, strict: bool = False) -> bool:

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 from ._util import parallel_map, split_chunks

@@ -73,14 +73,6 @@ def phi_letter(n: int, letter: int) -> Perm:
     raise ValueError(f"not a binary letter: {letter}")
 
 
-def phi(n: int, u: BinaryLike) -> Perm:
-    """The permutation of the whole word u."""
-    perm = identity(n)
-    for a in as_binary_letters(u):
-        perm = compose(perm, phi_letter(n, a))
-    return perm
-
-
 def prefix_permutations(n: int, u: BinaryLike) -> list[Perm]:
     """P[0..|u|] with P[j] the permutation of the length-j prefix."""
     out = [identity(n)]
@@ -98,35 +90,6 @@ def gamma(n: int, u: BinaryLike) -> Word:
         perm = compose(perm, phi_letter(n, a))
         out.append(perm.index(1) + 1)
     return Word(tuple(out), n)
-
-
-def stabilized_prefix_size(perm: Perm) -> int:
-    """Largest k with perm fixing every point in 1..k (0 if 1 moves)."""
-    k = 0
-    for i, a in enumerate(perm):
-        if a != i + 1:
-            break
-        k += 1
-    return k
-
-
-def is_k_stabilizing(n: int, v: BinaryLike, k: int) -> bool:
-    """Whether phi(v) fixes all of 1..k; requires 1 <= k <= n-1 and v nonempty."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"k must be within 1..{n - 1}")
-    letters = as_binary_letters(v)
-    if not letters:
-        raise ValueError("stabilizing words must be nonempty")
-    return stabilized_prefix_size(phi(n, letters)) >= k
-
-
-def in_phi_kernel(n: int, v: BinaryLike) -> bool:
-    return phi(n, v) == identity(n)
-
-
-def kernel_repetition_length_ok(n: int, length: int, p: int) -> bool:
-    """(n-1)|v| > np - (n-1)^2, evaluated in integers."""
-    return (n - 1) * length > n * p - (n - 1) * (n - 1)
 
 
 def _stabilizing_report(letters: tuple[int, ...], start0: int, length: int, k: int) -> RepetitionReport:

@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._util import parallel_map, split_chunks
 from .carpi import (
@@ -372,11 +372,7 @@ def verify_Ew(
 # ------------------------------------------------------------ binary search
 
 
-def binary_avoidance_longest(
-    n: int = 26,
-    depth_cap: int = 64,
-    length_rule: Optional[Callable[[int, int], int]] = None,
-) -> tuple[int, str]:
+def binary_avoidance_longest(n: int = 26, depth_cap: int = 64) -> tuple[int, str]:
     """Depth-first search over {1, 2}* for the longest word with no factor
     that is a psi-kernel repetition at order n; returns (length, witness).
 
@@ -385,7 +381,6 @@ def binary_avoidance_longest(
     """
     if n < 9:
         raise ValueError("order must be at least 9")
-    rule = length_rule or min_psi_repetition_length
 
     s: list[str] = []
     sigs = [0]
@@ -397,7 +392,7 @@ def binary_avoidance_longest(
             r = 0
             while r < L - q and s[L - 1 - r] == s[L - 1 - r - q]:
                 r += 1
-            lo = max(q, rule(n, q))
+            lo = min_psi_repetition_length(n, q)
             for ln in range(lo, q + r + 1):
                 if sigs[L - ln] == sigs[L - ln + q]:
                     return True
@@ -422,10 +417,6 @@ def binary_avoidance_longest(
 
     dfs()
     return best[0], best[1]
-
-
-def binary_avoidance_max_length(n: int = 26, depth_cap: int = 64) -> int:
-    return binary_avoidance_longest(n, depth_cap)[0]
 
 
 # ------------------------------------------------------------ desk checks

@@ -1,6 +1,8 @@
 """Shared fixtures: the factor engine and the maximal-repetition set are
 expensive enough to build once per session."""
 
+import time
+
 import pytest
 
 from dejean.constructions import z4_language
@@ -13,5 +15,13 @@ def engine157():
 
 
 @pytest.fixture(scope="session")
-def w_set(engine157):
-    return compute_W(155, engine=engine157)
+def w_set_timed(engine157):
+    """compute_W(155) on the session engine, with its wall time in seconds."""
+    t0 = time.monotonic()
+    w_set = compute_W(155, engine=engine157)
+    return w_set, time.monotonic() - t0
+
+
+@pytest.fixture(scope="session")
+def w_set(w_set_timed):
+    return w_set_timed[0]

@@ -14,14 +14,13 @@ from fractions import Fraction
 import pytest
 
 from dejean.carpi import in_psi_kernel, load_morphism_table, threshold_pipeline
-from dejean.constructions import g_expand, z4_language, zm_count, zm_enumerate, zm_samples
-from dejean.core_words import find_forbidden_factor, is_free, parse_word
+from dejean.constructions import g_expand, zm_count, zm_enumerate, zm_samples
+from dejean.core_words import find_forbidden_factor
 from dejean.growth import count_threshold_words
 from dejean.verifier import (
-    binary_avoidance_max_length,
+    binary_avoidance_longest,
     check_lemma6,
     check_prop7_desk,
-    compute_W,
     verify_Ew,
     verify_short_elimination,
     w_breakdown,
@@ -38,18 +37,6 @@ def report(num: str, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
-@pytest.fixture(scope="module")
-def engine():
-    return z4_language(157)
-
-
-@pytest.fixture(scope="module")
-def w_set_timed(engine):
-    t0 = time.monotonic()
-    w_set = compute_W(155, engine=engine)
-    return w_set, time.monotonic() - t0
-
-
 def test_criterion_01_w_set(w_set_timed):
     w_set, dt = w_set_timed
     hist = w_breakdown(w_set)
@@ -62,10 +49,9 @@ def test_criterion_01_w_set(w_set_timed):
     report("01", "maximal kernel repetition set", ok, detail)
 
 
-def test_criterion_02_ew(w_set_timed, engine):
-    w_set, _ = w_set_timed
+def test_criterion_02_ew(w_set, engine157):
     t0 = time.monotonic()
-    result = verify_Ew(w_set, engine=engine)
+    result = verify_Ew(w_set, engine=engine157)
     dt = time.monotonic() - t0
     margins = [e["margin"] for e in result.payload.get("entries", [])]
     ok = result.passed and result.payload["checked"] == 200 and dt < 600
@@ -76,9 +62,9 @@ def test_criterion_02_ew(w_set_timed, engine):
     report("02", "period bound holds at every extension", ok, detail)
 
 
-def test_criterion_03_elimination(engine):
+def test_criterion_03_elimination(engine157):
     t0 = time.monotonic()
-    result = verify_short_elimination(max_length=130, orders=range(27, 33), engine=engine)
+    result = verify_short_elimination(max_length=130, orders=range(27, 33), engine=engine157)
     dt = time.monotonic() - t0
     ok = result.passed and not result.payload["violations"] and dt < 300
     detail = (
@@ -91,7 +77,7 @@ def test_criterion_03_elimination(engine):
 
 def test_criterion_04_binary26():
     t0 = time.monotonic()
-    longest = binary_avoidance_max_length(26)
+    longest = binary_avoidance_longest(26)[0]
     dt = time.monotonic() - t0
     ok = longest == 15 and dt < 60
     report(

@@ -16,20 +16,23 @@ from dejean.carpi import (
     MorphismTable,
     PipelineError,
     apply_morphism,
-    check_carpi_short,
     find_psi_kernel_repetition,
     in_psi_kernel,
-    kernel_periods,
     load_morphism_table,
     make_table,
     min_psi_repetition_length,
     params,
-    prop82_harness,
-    psi_repetition_length_ok,
     threshold_pipeline,
 )
 from dejean.core_words import ReportKind, parse_word
 from dejean.pansiot import gamma
+
+from test_verifier import kernel_periods
+
+
+def psi_repetition_length_ok(n, length, q):
+    """(n-1)(|v|+1) >= nq - 3, evaluated in integers."""
+    return (n - 1) * (length + 1) >= n * q - 3
 
 
 def oracle_scan(n, s):
@@ -178,6 +181,14 @@ def test_find_rejects_letters_outside_source_alphabet():
         find_psi_kernel_repetition(1, "1")
 
 
+def test_find_rejects_letters_below_one():
+    for n in (2, 5, 8, 9, 27):
+        with pytest.raises(ValueError, match="letter 0 outside"):
+            find_psi_kernel_repetition(n, "10")
+        with pytest.raises(ValueError, match="letter -3 outside"):
+            find_psi_kernel_repetition(n, (1, -3, 1))
+
+
 def test_scan_agrees_with_oracle_exhaustive_binary():
     for n in (15, 27):
         for s in words_over((1, 2), 7):
@@ -287,18 +298,6 @@ def test_load_morphism_table_rejects_bad_documents():
 # ---------------------------------------------------------------- pipeline
 
 
-def test_check_carpi_short_flags_stabilizing_factor():
-    t = make_table(3, {1: "00"})
-    rep = check_carpi_short(t, "1")
-    assert rep is not None
-    assert (rep.start, rep.length, rep.k) == (1, 2, 2)
-
-
-def test_check_carpi_short_clean_image():
-    t = make_table(3, {1: "01"})
-    assert check_carpi_short(t, "1") is None
-
-
 def test_pipeline_without_verification_encodes():
     t = make_table(3, {1: "00"})
     out = threshold_pipeline(t, "111")
@@ -326,15 +325,3 @@ def test_pipeline_happy_path():
     t = make_table(3, {1: "01"})
     out = threshold_pipeline(t, "1", verify=True)
     assert out == parse_word("23", 3)
-
-
-def test_prop82_harness_reports():
-    bad = make_table(3, {1: "00"})
-    res = prop82_harness(bad, ["1", "1111"])
-    assert res["checked"] == 1 and res["vacuous"] == 1
-    assert len(res["violations"]) == 1
-    assert res["violations"][0]["word"] == "1"
-
-    good = make_table(3, {1: "01"})
-    res = prop82_harness(good, ["1"])
-    assert res == {"checked": 1, "vacuous": 0, "violations": []}

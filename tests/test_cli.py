@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 
 import dejean
 from dejean.cli import EXIT_CODES, main
+from dejean.constructions import zm_is_member
+from dejean.growth import count_language, growth_estimate
 
 SRC = str(Path(dejean.__file__).resolve().parents[1])
 
@@ -144,6 +147,35 @@ def test_count_zm_csv(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == "k,count,ratio,kth_root"
     assert lines[-1] == "8,4,,1.189207"
+
+
+@pytest.mark.parametrize(
+    "m, k",
+    [(4, 24), (5, 24), (9, 17), (5, 1), (5, 0), (3, 0),
+     (0, 5), (-2, 0), (2, 3), (3, 1), (5, -1), (3, -1)],
+)
+def test_count_zm_matches_enumeration(capsys, m, k):
+    # the closed form prints the document, or the error, of enumerating Z_m
+    try:
+        table = count_language(lambda w: zm_is_member(m, w), m, k, prefix_closed=True,
+                               name=f"zm-{m}", parameters={"m": m})
+    except ValueError as err:
+        status, payload = "fail", {"error": str(err)}
+    else:
+        status, payload = "info", table.to_payload()
+        if table.counts:
+            payload["estimate"] = growth_estimate(table)
+    code, doc = run_doc(capsys, "count", "zm", "--m", str(m), "--k", str(k))
+    assert (doc["status"], doc["payload"]) == (status, payload)
+    assert code == EXIT_CODES[status]
+
+
+def test_count_zm_long_lengths_finish_at_once(capsys):
+    t0 = time.monotonic()
+    code, doc = run_doc(capsys, "count", "zm", "--m", "5", "--k", "200")
+    assert time.monotonic() - t0 < 1.0
+    assert code == 0
+    assert doc["payload"]["counts"][-1] == 2**50
 
 
 def test_count_z4(capsys):

@@ -9,7 +9,7 @@ level enumeration is also used where it is provably complete (short lengths).
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from dejean.carpi import in_psi_kernel
@@ -20,10 +20,8 @@ from dejean.constructions import (
     beta_prefix,
     free_positions,
     g_apply,
-    g_branch_count,
     g_expand,
     g_level,
-    level_letter_counts,
     z4_factors,
     z4_is_factor,
     z4_language,
@@ -239,7 +237,7 @@ def test_g_expand_order_and_count():
     assert list(g_expand("4")) == ["123", "213"]
     assert list(g_expand("14")) == ["112123", "112213"]
     assert list(g_expand("")) == [""]
-    assert g_branch_count("44214") == 8
+    assert len(list(g_expand("44214"))) == 8
     assert len(list(g_expand("44"))) == 4
 
 
@@ -252,14 +250,11 @@ def test_g_level_sizes():
 
 
 def test_g_level_letter_counts():
-    assert level_letter_counts(3) == (17, 7, 1, 2)
-    assert level_letter_counts(4) == (52, 19, 3, 7)
-    assert level_letter_counts(5) == (155, 59, 10, 19)
+    # every word of a level has the same letter counts
+    want = [(1, 0, 0, 0), (2, 1, 0, 0), (6, 2, 0, 1),
+            (17, 7, 1, 2), (52, 19, 3, 7), (155, 59, 10, 19)]
     for k in range(6):
-        want = level_letter_counts(k)
-        for w in g_level(k):
-            got = tuple(w.count(c) for c in "1234")
-            assert got == want
+        assert {tuple(w.count(c) for c in "1234") for w in g_level(k)} == {want[k]}
 
 
 def test_g_level_prefix_monotone():
@@ -278,7 +273,7 @@ def test_g_level_alignment_rigidity():
 
 
 def test_g_level_stationary_frequencies():
-    counts = level_letter_counts(5)
+    counts = [g_level(5)[0].count(c) for c in "1234"]
     total = sum(counts)
     for got, want in zip(counts, (0.64, 0.24, 0.04, 0.08)):
         assert abs(got / total - want) < 0.005

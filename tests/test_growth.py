@@ -16,15 +16,9 @@ from hypothesis import strategies as st
 
 from dejean import growth
 from dejean.constructions import z4_factors, z4_language, zm_count, zm_is_member
-from dejean.core_words import (
-    has_suffix_violation,
-    is_free,
-    parse_word,
-    repetition_threshold,
-)
+from dejean.core_words import is_free, parse_word, repetition_threshold
 from dejean.growth import (
     DEFAULT_BUDGET,
-    GrowthTable,
     build_growth_table,
     count_language,
     count_threshold_words,
@@ -36,6 +30,8 @@ from dejean.growth import (
     _int_kth_root,
 )
 from dejean._util import split_chunks
+
+from test_core_words import has_suffix_violation
 
 T3_COUNTS = [3, 6, 12, 18, 30, 42, 60, 78, 108, 144, 186, 240]
 T2_COUNTS = [2, 4, 6, 10, 14, 20, 24, 30, 36, 44, 48, 60]

@@ -1,0 +1,86 @@
+"""The library exports what the command line, the benchmark and the
+documented API use.
+
+A public function or class of a `dejean` module must be in `dejean.__all__`
+or be referenced from library code outside its own definition, or from the
+benchmark harness in `perfbench/`.  Tests do not count: a helper only tests
+need belongs in the test module that uses it.
+"""
+
+import ast
+from pathlib import Path
+
+import dejean
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dejean"
+
+
+def docstrings(tree):
+    """The docstring nodes of a module and of its functions and classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                yield body[0].value
+
+
+def references(node, skip=()):
+    """Names read in node: identifiers, attribute names, and strings equal to
+    a name (as getattr and monkeypatching use them), leaving out docstrings
+    and the subtrees in skip."""
+    skipped = {id(n) for s in skip for n in ast.walk(s)}
+    skipped |= {id(d) for d in docstrings(node)}
+    out = set()
+    for n in ast.walk(node):
+        if id(n) in skipped:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.isidentifier():
+            out.add(n.value)
+    return out
+
+
+def public_definitions():
+    """(module name, definition node, module tree) for every public
+    top-level function and class of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    yield path.stem, node, tree
+
+
+def test_every_public_name_is_used_or_exported():
+    trees = {p.stem: ast.parse(p.read_text()) for p in PACKAGE.glob("*.py")}
+    trees.pop("__init__")
+    bench = set()
+    for path in (ROOT / "perfbench").glob("*.py"):
+        bench |= references(ast.parse(path.read_text()))
+    unused = []
+    for module, node, tree in public_definitions():
+        if node.name in dejean.__all__ or node.name in bench:
+            continue
+        used = node.name in references(tree, skip=[node]) or any(
+            node.name in references(other)
+            for name, other in trees.items()
+            if name != module
+        )
+        if not used:
+            unused.append(f"{module}.{node.name}")
+    assert not unused, f"unexported, with no library or benchmark caller: {unused}"
+
+
+def test_the_guard_sees_definitions_and_references():
+    names = {f"{module}.{node.name}" for module, node, _ in public_definitions()}
+    assert {"carpi.make_table", "verifier.binary_avoidance_longest"} <= names
+    source = '''"""mentions a"""
+def f():
+    """mentions b"""
+    return c.d, "e"
+'''
+    assert references(ast.parse(source)) == {"c", "d", "e"}

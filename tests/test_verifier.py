@@ -15,15 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dejean.carpi import (
-    find_psi_kernel_repetition,
-    in_psi_kernel,
-    kernel_periods,
-    make_table,
-    min_psi_repetition_length,
-)
+from dejean.carpi import find_psi_kernel_repetition, in_psi_kernel, make_table
 from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
-from dejean.core_words import equal_signature_pairs, kernel_signatures
+from dejean.core_words import equal_signature_pairs, kernel_signatures, letters_of
 from dejean._util import split_chunks
 from dejean import constructions, verifier
 from dejean.verifier import (
@@ -36,7 +30,6 @@ from dejean.verifier import (
     _w_candidate_chunk,
     _walk_tasks,
     binary_avoidance_longest,
-    binary_avoidance_max_length,
     check_lemma6,
     check_prop7_desk,
     compute_W,
@@ -48,6 +41,18 @@ from dejean.verifier import (
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "w_set.json"
+
+
+def kernel_periods(v):
+    """Periods p of v whose length-p prefix is a kernel word."""
+    s = letters_of(v)
+    k = len(s)
+    out = []
+    for p in range(1, k + 1):
+        if all(s[i] == s[i + p] for i in range(k - p)) and in_psi_kernel(s[:p]):
+            out.append(p)
+    return out
+
 
 digit_words = st.text(alphabet="1234", max_size=60)
 # concatenated short kernel words and single letters, rich in periodic runs
@@ -443,7 +448,6 @@ def test_binary_avoidance_result():
     assert length == 15
     assert len(witness) == 15
     assert find_psi_kernel_repetition(26, witness) is None
-    assert binary_avoidance_max_length(26) == 15
 
 
 def test_binary_avoidance_brute_force_agrees():
@@ -458,21 +462,14 @@ def test_binary_avoidance_brute_force_agrees():
             longest = L
         else:
             break
-    assert longest == binary_avoidance_max_length(26) == 15
-
-
-def test_binary_avoidance_monotone_in_inequality():
-    # demanding (n-1)(l+1) >= nq-2 instead of nq-3 shrinks the set of
-    # repetitions, so the avoidance language and the answer can only grow
-    def tighter(n, q):
-        return max(q, -(-(n * q - 2) // (n - 1)) - 1)
-
-    assert binary_avoidance_longest(26, length_rule=tighter)[0] >= 15
+    assert longest == binary_avoidance_longest(26)[0] == 15
 
 
 def test_binary_avoidance_depth_cap_error():
+    # a clean word as long as the cap leaves finiteness uncertified
     with pytest.raises(RuntimeError):
-        binary_avoidance_longest(26, depth_cap=12, length_rule=lambda n, q: 10**9)
+        binary_avoidance_longest(26, depth_cap=15)
+    assert binary_avoidance_longest(26, depth_cap=16) == (15, "111211121112111")
 
 
 def test_binary_avoidance_order_guard():
