@@ -81,7 +81,9 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     prefix, so only prefixes are tested; candidate starts are exactly the
     positions where the running letter-count signature (mod 4) recurs.
     Letters must lie in the source alphabet A_m from order 9 on, and be
-    positive below it; any other letter raises ValueError.
+    positive below it; any other letter raises ValueError.  Below order 9
+    the letters are renamed to their ranks 1, 2, ... among the distinct
+    letters, so the signatures stay as small as the alphabet in use.
     """
     if n < 2:
         raise ValueError("order must be at least 2")
@@ -95,6 +97,9 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
         where = "the positive integers"
     if bad:
         raise ValueError(f"letter {bad[0]} outside {where}")
+    if n < 9:
+        rank = {a: r for r, a in enumerate(sorted(set(letters)), 1)}
+        letters = [rank[a] for a in letters]
     L = len(letters)
     best = None  # (start0, length, q)
     for t, e in equal_signature_pairs(kernel_signatures(letters)):

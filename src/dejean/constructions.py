@@ -21,7 +21,8 @@ cutoff.
 from __future__ import annotations
 
 import random
-from itertools import chain, product
+from bisect import bisect_left
+from itertools import chain, groupby, product
 from typing import Iterable, Iterator, Optional
 
 from .core_words import WordLike, letters_of
@@ -180,14 +181,12 @@ class Z4Language:
     The constructor runs the window fixpoint: seed with every window of length
     ceil(L/3)+1 of the first level long enough to contain one, then repeatedly
     apply g to known windows and take the windows of the branch words, until
-    nothing new appears.  The engine keeps only the closed windows and the
-    level words up to the seed level; every factor of length at most L lies
-    in a branch word g(x) of a closed window x, and the level words are kept
-    so short factors are covered without leaning on the prefix structure of
-    the levels.
+    nothing new appears.  Every factor of length at most L lies in a branch
+    word g(x) of a closed window x or in a level word up to the seed level.
 
-    Factor queries go through one index, length -> frozenset of the distinct
-    factors of that length, filled in on the first probe of each length.
+    Factor queries go through one index, `sorted_factors`: the distinct
+    factors of length L, sorted.  Every factor extends to the right, so the
+    factors of any shorter length are exactly the prefixes of the index.
     """
 
     def __init__(self, max_factor_length: int):
@@ -217,7 +216,11 @@ class Z4Language:
                         seen.add(y)
                         frontier.add(y)
         self.windows: tuple[str, ...] = tuple(sorted(seen))
-        self._by_length: dict[int, frozenset[str]] = {}
+        self.sorted_factors: tuple[str, ...] = tuple(sorted({
+            p[i : i + L]
+            for p in chain(self._branch_words(), self.level_words)
+            for i in range(len(p) - L + 1)
+        }))
 
     def _branch_words(self) -> Iterator[str]:
         for x in self.windows:
@@ -230,42 +233,23 @@ class Z4Language:
         most the cutoff is a factor of one of them."""
         return sorted(chain(self.level_words, self._branch_words()))
 
-    def _factor_set(self, length: int) -> frozenset[str]:
-        """Distinct factors of one length.  A new set is cut from the nearest
-        longer set already built, plus the level words too short to appear in
-        that set; with no longer set, from the windows when they are long
-        enough, else from the branch words, streamed."""
-        found = self._by_length.get(length)
-        if found is not None:
-            return found
-        longer = [m for m in self._by_length if m > length]
-        if longer:
-            m = min(longer)
-            sources = chain(
-                self._by_length[m], (p for p in self.level_words if len(p) < m)
-            )
-        elif length <= self.window_length:
-            sources = chain(self.windows, self.level_words)
-        else:
-            sources = chain(self._branch_words(), self.level_words)
-        found = frozenset(
-            p[i : i + length] for p in sources for i in range(len(p) - length + 1)
-        )
-        self._by_length[length] = found
-        return found
-
     def is_factor(self, w: WordLike) -> bool:
-        s = "".join(str(a) for a in letters_of(w))
+        if isinstance(w, str) and w.isascii() and w.isdigit():
+            s = w
+        else:
+            s = "".join(str(a) for a in letters_of(w))
         if len(s) > self.max_factor_length:
             raise ValueError(
                 f"probe of length {len(s)} exceeds cutoff {self.max_factor_length}"
             )
-        return not s or s in self._factor_set(len(s))
+        index = self.sorted_factors
+        i = bisect_left(index, s)
+        return i < len(index) and index[i].startswith(s)
 
     def factors(self, length: int) -> list[str]:
         if not 0 < length <= self.max_factor_length:
             raise ValueError("length out of range")
-        return sorted(self._factor_set(length))
+        return [k for k, _ in groupby(p[:length] for p in self.sorted_factors)]
 
 
 _Z4_CACHE: dict[int, Z4Language] = {}

@@ -18,10 +18,8 @@ counts and verbatim witnesses, so results can be pinned by golden files.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._util import parallel_map, split_chunks
@@ -137,57 +135,37 @@ def _prefix_candidates(
         prev = s
 
 
-def _windows_at(run: list[str], offset: int, length: int) -> Iterator[str]:
-    end = offset + length
-    for p in run:
-        if len(p) >= end:
-            yield p[offset:end]
-
-
-def _sorted_windows(pieces: list[str], length: int) -> Iterator[str]:
-    """Every window of the given length of the sorted pieces, in sorted order
-    with repeats.  Pieces that share their first o letters form a contiguous
-    run already sorted by p[o:], so each run gives its windows at offset o in
-    order, and one merge of the runs orders them all."""
-    top = max(map(len, pieces), default=0)
-    return heapq.merge(
-        *(
-            _windows_at(list(run), o, length)
-            for o in range(top - length + 1)
-            for _, run in groupby(pieces, key=itemgetter(slice(0, o)))
-        )
-    )
-
-
 def _walk_tasks(engine, jobs: int, cap: int, *params) -> list[tuple]:
-    """Sorted strings to walk, in contiguous chunks, one per job, each with
-    the window length to cut them to; every factor of length cap is a
-    prefix of one window.  A cap up to the engine's window length walks the
-    factors of that length themselves, a longer one the cutoff-length
-    windows of the sorted pieces.  Results are set unions, so they do not
-    depend on the split."""
-    if 0 < cap <= engine.window_length:
-        strings, length = engine.factors(cap), cap
-    else:
-        strings, length = sorted(engine.pieces), engine.max_factor_length
-    return [(c, length, cap, *params) for c in split_chunks(strings, jobs)]
+    """The engine's sorted factors of cutoff length in contiguous chunks,
+    one per job, each to be walked cut to cap letters; every factor of
+    length cap is a prefix of one of them.  Results are set unions, so they
+    do not depend on the split."""
+    return [(c, cap, *params) for c in split_chunks(engine.sorted_factors, jobs)]
 
 
 def _max_kernel_period_run(s: str, period: int) -> int:
-    """Length of the longest factor of s with the given kernel period, or 0."""
+    """Length of the longest factor of s with the given kernel period, or 0.
+
+    Only the starts i <= len(s) - period can begin one, so the letter counts
+    of s[i:i+period] are slid over those starts, and a run of the period is
+    extended from each start whose window is a kernel word.  A run reached
+    from one start covers every later start inside it, so the end e only
+    moves forward."""
     L = len(s)
     if period > L:
         return 0
-    sigs = _int_sigs(s)
-    runlen = [0] * (L + 1)
-    for x in range(L - 1, period - 1, -1):
-        runlen[x] = runlen[x + 1] + 1 if s[x] == s[x - period] else 0
+    counts = Counter(s[:period])
     best = 0
+    e = period
     for i in range(L - period + 1):
-        if sigs[i] == sigs[i + period]:
-            ln = period + runlen[i + period]
-            if ln > best:
-                best = ln
+        if i:
+            counts[s[i - 1]] -= 1
+            counts[s[i + period - 1]] += 1
+        if not any(c & 3 for c in counts.values()):
+            e = max(e, i + period)
+            while e < L and s[e] == s[e - period]:
+                e += 1
+            best = max(best, e - i)
     return best
 
 
@@ -204,8 +182,7 @@ def _eliminated(strings: Iterable[str], max_length: int, orders: list) -> set:
 
 
 def _elimination_chunk(args: tuple) -> set:
-    pieces, length, max_length, orders = args
-    return _eliminated(_sorted_windows(pieces, length), max_length, orders)
+    return _eliminated(*args)
 
 
 def verify_short_elimination(
@@ -220,10 +197,10 @@ def verify_short_elimination(
 
     The length condition grows with the factor, so only the longest extension
     of each (start, period) pair is tested.  The engine's factors are walked
-    as prefixes of its distinct windows, so a factor is reported at its
-    longest extension inside a window.  extra_pieces lets a test inject
-    strings that must be flagged; every suffix of them is walked, so each of
-    their factors is checked.
+    as prefixes of its sorted factors of cutoff length, so a factor is
+    reported at its longest extension inside one of them.  extra_pieces lets
+    a test inject strings that must be flagged; every suffix of them is
+    walked, so each of their factors is checked.
     """
     if engine is None:
         engine = z4_language(max_length)
@@ -256,9 +233,9 @@ def verify_short_elimination(
 
 
 def _w_candidate_chunk(args: tuple) -> set:
-    pieces, length, max_length, bound_filter = args
+    strings, max_length, bound_filter = args
     cands = set()
-    for s, q, lmax in _prefix_candidates(_sorted_windows(pieces, length), max_length):
+    for s, q, lmax in _prefix_candidates(strings, max_length):
         if q > 152:
             continue
         for ln in range(q, lmax + 1):
@@ -292,9 +269,7 @@ def compute_W(
     ):
         cands |= part
     out = []
-    # a fixed probe order, longest first, so each new length of the factor
-    # index is cut from a longer one instead of from the pieces
-    for v, q in sorted(cands, key=lambda c: (-len(c[0]), c[0], c[1])):
+    for v, q in cands:
         if engine.is_factor(v[q - 1] + v):
             continue
         if engine.is_factor(v + v[len(v) - q]):

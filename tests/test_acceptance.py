@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from dejean.carpi import in_psi_kernel, load_morphism_table, threshold_pipeline
+from dejean.cli import EXPECTED_W_BREAKDOWN, EXPECTED_W_COUNT
 from dejean.constructions import g_expand, zm_count, zm_enumerate, zm_samples
 from dejean.core_words import find_forbidden_factor
 from dejean.growth import count_threshold_words
@@ -28,8 +29,6 @@ from dejean.verifier import (
 
 from test_growth import oracle_free_count
 
-EXPECTED_BREAKDOWN = {(76, 77): 160, (92, 93): 36, (112, 114): 4}
-
 
 def report(num: str, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
@@ -40,10 +39,10 @@ def report(num: str, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_w_set(w_set_timed):
     w_set, dt = w_set_timed
     hist = w_breakdown(w_set)
-    ok = len(w_set) == 200 and hist == EXPECTED_BREAKDOWN and dt < 300
+    ok = len(w_set) == EXPECTED_W_COUNT and hist == EXPECTED_W_BREAKDOWN and dt < 300
     detail = (
         f"{len(w_set)} entries, breakdown "
-        f"{[hist.get(k, 0) for k in sorted(EXPECTED_BREAKDOWN)]}, "
+        f"{[hist.get(k, 0) for k in sorted(EXPECTED_W_BREAKDOWN)]}, "
         f"{dt:.1f}s < 300s"
     )
     report("01", "maximal kernel repetition set", ok, detail)
@@ -54,7 +53,7 @@ def test_criterion_02_ew(w_set, engine157):
     result = verify_Ew(w_set, engine=engine157)
     dt = time.monotonic() - t0
     margins = [e["margin"] for e in result.payload.get("entries", [])]
-    ok = result.passed and result.payload["checked"] == 200 and dt < 600
+    ok = result.passed and result.payload["checked"] == EXPECTED_W_COUNT and dt < 600
     detail = (
         f"{result.payload['checked']} words, min margin "
         f"{min(margins) if margins else 'n/a'}, {dt:.1f}s < 600s"

@@ -223,6 +223,24 @@ def test_scan_agrees_with_oracle_sampled(u, n):
 
 
 @settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(1, 5), max_size=40),
+    st.lists(st.integers(1, 10**9), min_size=5, max_size=5, unique=True),
+    st.integers(2, 8),
+)
+def test_scan_below_order_9_ignores_letter_values(u, huge, n):
+    # renaming the letters injectively changes no kernel word and no period
+    renamed = [huge[a - 1] for a in u]
+    assert find_psi_kernel_repetition(n, renamed) == find_psi_kernel_repetition(n, u)
+
+
+def test_scan_below_order_9_huge_letter():
+    rep = find_psi_kernel_repetition(5, [10**9] * 200)
+    assert (rep.start, rep.length, rep.period) == (1, 4, 4)
+    assert find_psi_kernel_repetition(5, [10**9, 10**7, 10**9]) is None
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=6), st.lists(st.integers(1, 4), max_size=6))
 def test_planted_kernel_block_is_found(prefix, block):
     if not block:

@@ -6,6 +6,7 @@ certifies the fixpoint, so it is a complete reference for the engine.  Plain
 level enumeration is also used where it is provably complete (short lengths).
 """
 
+import itertools
 import random
 
 import pytest
@@ -72,7 +73,7 @@ def oracle_factors_upto(max_len, max_levels=40):
 
 class JoinedPiecesOracle:
     """The engine's factor queries answered by substring search in the
-    '#'-joined pieces, the reference for the per-length factor index."""
+    '#'-joined pieces, the reference for the sorted prefix index."""
 
     def __init__(self, engine):
         self.haystack = "#".join(sorted(engine.pieces))
@@ -330,7 +331,7 @@ def test_engine_is_factor_consistent_with_enumeration():
 
 
 # the lengths include those of the short level words kept as pieces (1, 3, 9,
-# 27; 81 on the session engine), which a set cut from a longer one adds back
+# 27; 81 on the session engine), whose factors the index holds as prefixes
 @pytest.mark.parametrize(
     "cutoff, lengths",
     [
@@ -349,7 +350,7 @@ def test_factor_index_matches_joined_pieces(cutoff, lengths, order):
     eng = Z4Language(cutoff)
     oracle = JoinedPiecesOracle(eng)
     for ln in lengths:
-        # alternate the call that builds the length's set first
+        # alternate the call that comes first
         if ln % 2:
             listed = eng.factors(ln)
         want = oracle.factors(ln)
@@ -378,10 +379,59 @@ def test_factor_index_on_session_engine(engine157):
 
 
 def test_short_lengths_on_session_engine(engine157):
-    # short sets with no longer set to cut from come from the closed windows
+    # short prefixes of the long index are the factors a small engine lists
     small = Z4Language(12)
     for ln in range(1, 13):
         assert engine157.factors(ln) == small.factors(ln), ln
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 8, 12, 66, 157])
+def test_prefix_index_matches_joined_pieces(cutoff, request):
+    # cutoffs 1 and 2 are at most the window length, so the index is cut
+    # from branch words three times as long as a window
+    # (the index itself is checked against the pieces' windows of length 157
+    # by test_walk_matches_sorted_windows)
+    if cutoff == 157:
+        eng, lengths = request.getfixturevalue("engine157"), [82, 3]
+    else:
+        eng, lengths = Z4Language(cutoff), range(1, cutoff + 1)
+    oracle = JoinedPiecesOracle(eng)
+    index = eng.sorted_factors
+    assert list(index) == sorted(set(index))
+    assert all(len(p) == cutoff for p in index)
+    rng = random.Random(cutoff)
+    for ln in lengths:
+        want = oracle.factors(ln)
+        assert eng.factors(ln) == want, ln
+        # a probe of length ln is in the haystack exactly when it is one
+        # of the haystack's windows of that length
+        present = set(want)
+        sample = rng.sample(want, min(len(want), 200))
+        probes = sample + one_letter_mutants(sample, rng)
+        if ln <= 4:
+            probes = ["".join(t) for t in itertools.product("1234", repeat=ln)]
+        for w in probes:
+            assert eng.is_factor(w) == (w in present), (ln, w)
+            assert eng.is_factor(tuple(map(int, w))) == (w in present), (ln, w)
+
+
+def test_is_factor_input_handling():
+    eng = Z4Language(12)
+    assert eng.is_factor("")
+    assert eng.is_factor(()) and eng.is_factor([])
+    assert eng.is_factor("1121") and eng.is_factor((1, 1, 2, 1))
+    # non-ASCII digits are read as their values, like the letters of a tuple
+    assert eng.is_factor("\u0661\u0662") == eng.is_factor("12") is True
+    assert eng.is_factor("\uff14\uff14") == eng.is_factor("44") is False
+    for bad in ("12a", "1 2", "-1", "\u00b2"):
+        with pytest.raises(ValueError):
+            eng.is_factor(bad)
+    # a letter past 9 is spelled with two digits, so it is probed as two letters
+    assert eng.is_factor((11, 2)) == eng.is_factor("112")
+    with pytest.raises(ValueError):
+        eng.is_factor("1" * 13)
+    with pytest.raises(ValueError):
+        eng.is_factor((1,) * 13)
 
 
 def test_engine_keeps_closed_windows():

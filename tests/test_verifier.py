@@ -4,10 +4,12 @@ White-box oracles here re-enumerate factors directly from definitions; the
 golden file pins the full 200-entry maximal-repetition set verbatim.
 """
 
+import heapq
 import inspect
 import json
 import typing
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from pathlib import Path
 from unittest import mock
 
@@ -26,7 +28,6 @@ from dejean.verifier import (
     _int_sigs,
     _max_kernel_period_run,
     _prefix_candidates,
-    _sorted_windows,
     _w_candidate_chunk,
     _walk_tasks,
     binary_avoidance_longest,
@@ -177,6 +178,31 @@ def test_max_kernel_period_run_matches_oracle(s, period):
     assert _max_kernel_period_run(s, period) == oracle_max_run(s, period)
 
 
+def whole_word_max_run(s, period):
+    """The E_w run scan before the sliding window: prefix signatures over
+    every letter of s, and the run length of the period at every position."""
+    L = len(s)
+    if period > L:
+        return 0
+    sigs = _int_sigs(s)
+    runlen = [0] * (L + 1)
+    for x in range(L - 1, period - 1, -1):
+        runlen[x] = runlen[x + 1] + 1 if s[x] == s[x - period] else 0
+    best = 0
+    for i in range(L - period + 1):
+        if sigs[i] == sigs[i + period]:
+            best = max(best, period + runlen[i + period])
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="1234", max_size=80), kernel_rich_words,
+                 kernel_rich_words.map(lambda w: w * 3)))
+def test_sliding_run_scan_matches_whole_word_scan(s):
+    for period in range(1, len(s) + 2):
+        assert _max_kernel_period_run(s, period) == whole_word_max_run(s, period), period
+
+
 def test_split_partitions():
     items = list(range(17))
     for jobs in (1, 2, 4, 30):
@@ -245,7 +271,8 @@ def test_elimination_injection_matches_all_starts_scan(extra, max_length):
     got = [(v["word"], v["kernel_period"], v["length"], v["order"])
            for v in rep.payload["violations"]]
     assert got == sorted(set(want))
-    assert rep.payload["pieces_scanned"] == len(engine.pieces) + len(extra)
+    # the engine's distinct factors of cutoff length, and the injected strings
+    assert rep.payload["pieces_scanned"] == len(engine.sorted_factors) + len(extra)
 
 
 # ---------------------------------------------------------------- W set
@@ -319,6 +346,7 @@ class LevelwiseEngine:
                 break
             windows = new_windows
         self.pieces = frozenset(pieces)
+        self.sorted_factors = tuple(sorted(p for p in pieces if len(p) == L))
         self._haystack = "#".join(sorted(pieces))
 
     def is_factor(self, w):
@@ -361,25 +389,70 @@ def test_w_candidates_match_all_starts_scan(cutoff):
         want = old_w_candidates(old_pieces, cutoff - 2, flag)
         for jobs in (1, 2, 3):
             tasks = _walk_tasks(engine, jobs, cutoff - 2, flag)
-            assert len(tasks) == min(jobs, len(engine.pieces))
+            assert len(tasks) == min(jobs, len(engine.sorted_factors))
             got = set().union(*map(_w_candidate_chunk, tasks))
             assert got == want, (flag, jobs)
 
 
+def _windows_at(run, offset, length):
+    end = offset + length
+    for p in run:
+        if len(p) >= end:
+            yield p[offset:end]
+
+
+def _sorted_windows(pieces, length):
+    """The walk before the sorted factor index, kept as its oracle: every
+    window of the given length of the sorted pieces, in sorted order with
+    repeats.  Pieces that share their first o letters form a contiguous run
+    already sorted by p[o:], so each run gives its windows at offset o in
+    order, and one merge of the runs orders them all."""
+    top = max(map(len, pieces), default=0)
+    return heapq.merge(
+        *(
+            _windows_at(list(run), o, length)
+            for o in range(top - length + 1)
+            for _, run in groupby(pieces, key=itemgetter(slice(0, o)))
+        )
+    )
+
+
+def distinct(strings):
+    return [k for k, _ in groupby(strings)]
+
+
+@pytest.mark.parametrize("cutoff", [20, 66, 100, 157])
+def test_walk_matches_sorted_windows(cutoff, request):
+    engine = request.getfixturevalue("engine157") if cutoff == 157 else Z4Language(cutoff)
+    windows = distinct(_sorted_windows(sorted(engine.pieces), cutoff))
+    if cutoff == 157:
+        assert len(windows) == 68032
+    win = engine.window_length
+    for cap in sorted({1, 2, 7, win - 1, win, win + 1, cutoff - 2, cutoff}):
+        want = distinct(w[:cap] for w in windows)
+        for jobs in (1, 2, 3):
+            tasks = _walk_tasks(engine, jobs, cap)
+            assert len(tasks) == jobs
+            assert all(t[1] == cap for t in tasks)
+            walked = [s for t in tasks for s in t[0]]
+            assert walked == windows, (cap, jobs)
+            assert distinct(s[:cap] for s in walked) == want, (cap, jobs)
+
+
 def test_small_cap_walks_factors_of_cap_length(engine157):
-    """A cap up to the window length walks the factors of that length, which
-    are the cap-letter prefixes of the cutoff-length windows walked before."""
+    """A cap up to the window length walks the cutoff-length factors cut to
+    the cap, which are the factors of that length, as are the cap-letter
+    prefixes of the cutoff-length windows of the pieces."""
     win = engine157.window_length
     pieces = sorted(engine157.pieces)
     prefixes = {w[:win] for w in _sorted_windows(pieces, engine157.max_factor_length)}
     for cap in (1, 2, 7, win - 1, win):
         for jobs in (1, 2):
             tasks = _walk_tasks(engine157, jobs, cap)
-            assert [t[1:] for t in tasks] == [(cap, cap)] * jobs
-            walked = [s for t in tasks for s in t[0]]
+            assert [t[1:] for t in tasks] == [(cap,)] * jobs
+            walked = distinct(s[:cap] for t in tasks for s in t[0])
             assert walked == sorted({w[:cap] for w in prefixes})
-    (strings, length, cap), = _walk_tasks(engine157, 1, win + 1)
-    assert strings == pieces and length == engine157.max_factor_length
+            assert walked == engine157.factors(cap)
 
 
 # 54 is the window length of the 157 engine
