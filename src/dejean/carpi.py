@@ -120,7 +120,6 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
         start=t + 1,
         length=length,
         period=q,
-        exponent=Fraction(length, q),
         kind=ReportKind.PSI_KERNEL,
     )
 

@@ -38,6 +38,7 @@ from .core_words import (
     repetition_threshold,
 )
 from .growth import (
+    DEFAULT_BUDGET,
     build_growth_table,
     count_language,
     count_threshold_words,
@@ -73,16 +74,6 @@ class CommandResult:
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.status]
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("DEJEAN_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"DEJEAN_JOBS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
 
 
 def _breakdown_rows(hist: dict) -> list[dict]:
@@ -217,12 +208,8 @@ def _cmd_verify_elimination(args) -> CommandResult:
 
 
 def _cmd_verify_w_set(args) -> CommandResult:
-    engine = z4_language(args.max_length + 2)
     w_set = compute_W(
-        args.max_length,
-        engine=engine,
-        bound_filter=not args.no_bound_filter,
-        jobs=args.jobs,
+        args.max_length, bound_filter=not args.no_bound_filter, jobs=args.jobs
     )
     hist = w_breakdown(w_set)
     payload = {
@@ -241,9 +228,8 @@ def _cmd_verify_w_set(args) -> CommandResult:
 
 
 def _cmd_verify_ew(args) -> CommandResult:
-    engine = z4_language(args.max_length + 2)
-    w_set = compute_W(args.max_length, engine=engine, jobs=args.jobs)
-    report = verify_Ew(w_set, engine=engine, jobs=args.jobs)
+    w_set = compute_W(args.max_length, jobs=args.jobs)
+    report = verify_Ew(w_set, jobs=args.jobs)
     return CommandResult(report.status, report.to_payload())
 
 
@@ -327,9 +313,8 @@ def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
         type=int,
-        default=None,
-        help="worker processes (default: DEJEAN_JOBS or all cores); "
-        "never changes the output",
+        default=os.cpu_count() or 1,
+        help="worker processes (default: all cores); never changes the output",
     )
 
 
@@ -391,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--budget", type=int, default=2_000_000,
+        "--budget", type=int, default=DEFAULT_BUDGET,
         help="candidate extensions examined before the table is cut; once the "
              "frontier is sharded it caps each worker, so the total can reach "
              "about jobs x budget (the table is the same)")
@@ -474,9 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> tuple[str, CommandResult]:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-            # fill in lazily so --jobs never has to be spelled out
-            args.jobs = _default_jobs()
         return args.command_name, args.handler(args)
     except (ValueError, OSError) as err:
         return args.command_name, CommandResult("fail", {"error": str(err)})

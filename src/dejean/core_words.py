@@ -113,13 +113,12 @@ class RepetitionReport:
     start: int
     length: int
     period: int
-    exponent: Fraction
     kind: ReportKind
     k: Optional[int] = None  # stabilizing order, only for kind == STABILIZING
 
-    def __post_init__(self) -> None:
-        if self.exponent != Fraction(self.length, self.period):
-            raise ValueError("report exponent must equal length/period exactly")
+    @property
+    def exponent(self) -> Fraction:
+        return Fraction(self.length, self.period)
 
     def to_payload(self) -> dict:
         out = {
@@ -293,7 +292,7 @@ def find_forbidden_factor(
         return None
     if _min_violating_length(1, r, strict) == 1:
         # r <= 1 (r < 1 if strict): a single letter, of exponent 1, violates
-        return RepetitionReport(1, 1, 1, Fraction(1), ReportKind.PLAIN)
+        return RepetitionReport(1, 1, 1, ReportKind.PLAIN)
     # the longest period a violation of at most k letters can have; a repeat
     # longer than its overhang prunes nothing more
     ptop = bisect_right(
@@ -326,7 +325,6 @@ def find_forbidden_factor(
                     start=start + 1,
                     length=p + h,
                     period=p,
-                    exponent=Fraction(p + h, p),
                     kind=ReportKind.PLAIN,
                 )
     return None

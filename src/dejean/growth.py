@@ -32,9 +32,9 @@ DEFAULT_BUDGET = 2_000_000
 # ------------------------------------------------------------ fixed-point
 
 
-def _format_scaled(y: int, digits: int = DIGITS) -> str:
-    q, r = divmod(y, 10**digits)
-    return f"{q}.{r:0{digits}d}"
+def _format_scaled(y: int) -> str:
+    q, r = divmod(y, 10**DIGITS)
+    return f"{q}.{r:0{DIGITS}d}"
 
 
 def _int_kth_root(x: int, k: int) -> int:
@@ -53,16 +53,16 @@ def _int_kth_root(x: int, k: int) -> int:
     return lo
 
 
-def decimal_ratio(a: int, b: int, digits: int = DIGITS) -> str:
-    """a/b truncated to the given number of decimal digits."""
+def decimal_ratio(a: int, b: int) -> str:
+    """a/b truncated to DIGITS decimal digits."""
     if b <= 0:
         raise ValueError("denominator must be positive")
-    return _format_scaled(a * 10**digits // b, digits)
+    return _format_scaled(a * 10**DIGITS // b)
 
 
-def decimal_kth_root(c: int, k: int, digits: int = DIGITS) -> str:
-    """c ** (1/k) truncated to the given number of decimal digits."""
-    return _format_scaled(_int_kth_root(c * 10 ** (digits * k), k), digits)
+def decimal_kth_root(c: int, k: int) -> str:
+    """c ** (1/k) truncated to DIGITS decimal digits."""
+    return _format_scaled(_int_kth_root(c * 10 ** (DIGITS * k), k))
 
 
 # ------------------------------------------------------------ tables

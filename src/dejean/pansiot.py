@@ -16,7 +16,6 @@ k-stabilizing if phi(v) fixes every point in 1..k.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Optional, Union
 
 from .core_words import (
@@ -99,7 +98,6 @@ def _stabilizing_report(letters: tuple[int, ...], start0: int, length: int, k: i
         start=start0 + 1,
         length=length,
         period=p0,
-        exponent=Fraction(length, p0),
         kind=ReportKind.STABILIZING,
         k=k,
     )
@@ -164,7 +162,6 @@ def find_kernel_repetition(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
         start=a + 1,
         length=length,
         period=p,
-        exponent=Fraction(length, p),
         kind=ReportKind.KERNEL,
     )
 

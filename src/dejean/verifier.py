@@ -143,6 +143,24 @@ def _walk_tasks(engine, jobs: int, cap: int, *params) -> list[tuple]:
     return [(c, cap, *params) for c in split_chunks(engine.sorted_factors, jobs)]
 
 
+def _walk_union(chunk, engine, jobs: int, cap: int, *params) -> set:
+    """The union of chunk over the walk tasks, fanned out over jobs."""
+    return set().union(*parallel_map(chunk, _walk_tasks(engine, jobs, cap, *params), jobs))
+
+
+def _engine_for(engine: Optional[Z4Language], cutoff: int) -> Z4Language:
+    """The engine a check reads factors of up to cutoff letters from: the
+    cached one unless the caller gave one, which must reach the cutoff."""
+    if engine is None:
+        return z4_language(cutoff)
+    if engine.max_factor_length < cutoff:
+        raise ValueError(
+            f"engine cutoff {engine.max_factor_length} is below the "
+            f"{cutoff} letters this check reads"
+        )
+    return engine
+
+
 def _max_kernel_period_run(s: str, period: int) -> int:
     """Length of the longest factor of s with the given kernel period, or 0.
 
@@ -172,46 +190,34 @@ def _max_kernel_period_run(s: str, period: int) -> int:
 # ------------------------------------------------------------ elimination
 
 
-def _eliminated(strings: Iterable[str], max_length: int, orders: list) -> set:
+_ELIMINATION_ORDERS = range(27, 33)
+
+
+def _eliminated(args: tuple) -> set:
+    strings, max_length = args
     found = set()
     for s, q, lmax in _prefix_candidates(strings, max_length):
-        for n in orders:
+        for n in _ELIMINATION_ORDERS:
             if (n - 1) * (lmax + 1) >= n * q - 3:
                 found.add((s[:lmax], q, lmax, n))
     return found
 
 
-def _elimination_chunk(args: tuple) -> set:
-    return _eliminated(*args)
-
-
 def verify_short_elimination(
     max_length: int = 130,
-    orders: Iterable[int] = range(27, 33),
     engine: Optional[Z4Language] = None,
-    extra_pieces: Iterable[str] = (),
     jobs: int = 1,
 ) -> VerificationReport:
     """Search every factor of length at most max_length for a kernel period
-    q >= length - 3 making it a psi-kernel repetition at any of the orders.
+    q >= length - 3 making it a psi-kernel repetition at any order 27..32.
 
     The length condition grows with the factor, so only the longest extension
     of each (start, period) pair is tested.  The engine's factors are walked
     as prefixes of its sorted factors of cutoff length, so a factor is
-    reported at its longest extension inside one of them.  extra_pieces lets
-    a test inject strings that must be flagged; every suffix of them is
-    walked, so each of their factors is checked.
+    reported at its longest extension inside one of them.
     """
-    if engine is None:
-        engine = z4_language(max_length)
-    orders = list(orders)
-    extra = list(extra_pieces)
-    tasks = _walk_tasks(engine, jobs, max_length, orders)
-    scanned = sum(len(t[0]) for t in tasks) + len(extra)
-    suffixes = sorted(p[i:] for p in extra for i in range(len(p)))
-    found = _eliminated(suffixes, max_length, orders)
-    for part in parallel_map(_elimination_chunk, tasks, jobs):
-        found |= part
+    engine = _engine_for(engine, max_length)
+    found = _walk_union(_eliminated, engine, jobs, max_length)
     violations = [
         {"word": w, "kernel_period": q, "length": ln, "order": n}
         for w, q, ln, n in sorted(found)
@@ -222,8 +228,8 @@ def verify_short_elimination(
         status,
         {
             "max_length": max_length,
-            "orders": orders,
-            "pieces_scanned": scanned,
+            "orders": list(_ELIMINATION_ORDERS),
+            "pieces_scanned": len(engine.sorted_factors),
             "violations": violations,
         },
     )
@@ -260,14 +266,11 @@ def compute_W(
     words outside the language.  Sorted by length, then value, then period.
     """
     if engine is None:
+        # verify_Ew reads two letters past the longest W word; building that
+        # far here lets the cache hand it the same engine
         engine = z4_language(max_length + 2)
-    if engine.max_factor_length < max_length + 1:
-        raise ValueError("engine cutoff too small for the extension probes")
-    cands: set = set()
-    for part in parallel_map(
-        _w_candidate_chunk, _walk_tasks(engine, jobs, max_length, bound_filter), jobs
-    ):
-        cands |= part
+    engine = _engine_for(engine, max_length + 1)
+    cands = _walk_union(_w_candidate_chunk, engine, jobs, max_length, bound_filter)
     out = []
     for v, q in cands:
         if engine.is_factor(v[q - 1] + v):
@@ -318,9 +321,7 @@ def verify_Ew(
     """For each maximal repetition w with kernel period p, scan every image
     g(awb) with awb in the language, find the longest factor with kernel
     period 3p (q_w, or 0 if none), and require 3p > 31(q_w - 3p + 2)."""
-    if engine is None:
-        top = max((len(r.word) for r in w_set), default=1) + 2
-        engine = z4_language(top)
+    engine = _engine_for(engine, max((len(r.word) for r in w_set), default=1) + 2)
     tasks = []
     for r in w_set:
         contexts = [
@@ -475,14 +476,6 @@ def check_prop7_desk(
 # ------------------------------------------------------------ order 26
 
 
-def stabilizing_witness_scan(
-    table: MorphismTable, w: WordLike, k: int, max_length: int
-):
-    """Shortest k-stabilizing factor of the image of w, length-bounded."""
-    image = apply_morphism(table, w)
-    return shortest_k_stabilizing_factor(table.n, image, k, max_length=max_length)
-
-
 def n26_stabilizing_check(table: Optional[MorphismTable] = None) -> VerificationReport:
     """With a user-supplied order-26 morphism table, confirm that the image
     of each two-letter word a3 contains a 15-stabilizing factor of length
@@ -499,7 +492,9 @@ def n26_stabilizing_check(table: Optional[MorphismTable] = None) -> Verification
     witnesses = {}
     ok = True
     for a in (1, 2, 3):
-        rep = stabilizing_witness_scan(table, (a, 3), k, max_length=bound - 1)
+        rep = shortest_k_stabilizing_factor(
+            26, apply_morphism(table, (a, 3)), k, max_length=bound - 1
+        )
         witnesses[str(a)] = None if rep is None else rep.length
         ok = ok and rep is not None and rep.length == expected
     return VerificationReport(

@@ -63,7 +63,7 @@ def test_criterion_02_ew(w_set, engine157):
 
 def test_criterion_03_elimination(engine157):
     t0 = time.monotonic()
-    result = verify_short_elimination(max_length=130, orders=range(27, 33), engine=engine157)
+    result = verify_short_elimination(max_length=130, engine=engine157)
     dt = time.monotonic() - t0
     ok = result.passed and not result.payload["violations"] and dt < 300
     detail = (

@@ -288,26 +288,23 @@ def test_usage_errors_exit_2(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["verify", "binary26", "--depth-cap", "5"], {}),
-        (["check", "--r", "1/0", "--word", "121", "--alphabet", "3"], {}),
-        (["count", "threshold", "--n", "3", "--k", "4"], {"DEJEAN_JOBS": "abc"}),
+        ["verify", "binary26", "--depth-cap", "5"],
+        ["check", "--r", "1/0", "--word", "121", "--alphabet", "3"],
     ],
-    ids=["depth-cap-reached", "zero-denominator", "bad-jobs-env"],
+    ids=["depth-cap-reached", "zero-denominator"],
 )
-def test_bad_input_fails_with_one_document(capsys, monkeypatch, argv, env):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_bad_input_fails_with_one_document(capsys, argv):
     code, doc = run_doc(capsys, *argv)
     assert (code, doc["status"]) == (1, "fail")
     assert "error" in doc["payload"]
 
 
-def _run_subprocess(*argv, env=None):
+def _run_subprocess(*argv):
     # the child imports the same package as the tests, with or without
     # PYTHONPATH set by the caller
-    env = dict(os.environ if env is None else env)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "dejean.cli", *argv],
@@ -344,13 +341,6 @@ def test_jobs_flag_never_changes_count_bytes():
         assert a.stdout == b.stdout
         assert a.returncode == b.returncode == 0
         assert json.loads(a.stdout)["payload"]["truncated_at"] == truncated_at
-
-
-def test_jobs_env_var_accepted():
-    env = dict(os.environ, DEJEAN_JOBS="2")
-    a = _run_subprocess("count", "threshold", "--n", "3", "--k", "8", env=env)
-    b = _run_subprocess("count", "threshold", "--n", "3", "--k", "8")
-    assert a.stdout == b.stdout
 
 
 # ---------------------------------------------------------------- contract

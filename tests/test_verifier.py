@@ -11,17 +11,24 @@ import typing
 from itertools import groupby, product
 from operator import itemgetter
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dejean.carpi import find_psi_kernel_repetition, in_psi_kernel, make_table
+from dejean.carpi import (
+    apply_morphism,
+    find_psi_kernel_repetition,
+    in_psi_kernel,
+    make_table,
+)
 from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
 from dejean.core_words import equal_signature_pairs, kernel_signatures, letters_of
 from dejean._util import split_chunks
 from dejean import constructions, verifier
+from dejean.pansiot import shortest_k_stabilizing_factor
 from dejean.verifier import (
     MaximalKernelRepetition,
     VerificationReport,
@@ -35,7 +42,6 @@ from dejean.verifier import (
     check_prop7_desk,
     compute_W,
     n26_stabilizing_check,
-    stabilizing_witness_scan,
     verify_Ew,
     verify_short_elimination,
     w_breakdown,
@@ -242,9 +248,20 @@ def test_elimination_tiny_cutoff_clean():
     assert rep.payload["violations"] == []
 
 
+def injected(engine, extra, max_length):
+    """A stand-in engine whose sorted factors are the real engine's plus
+    every suffix of the injected strings, so each factor of those is walked;
+    a sorted walk over the merged list yields the union of walking each."""
+    suffixes = [p[i:] for p in extra for i in range(len(p))]
+    return SimpleNamespace(
+        max_factor_length=max_length,
+        sorted_factors=sorted([*engine.sorted_factors, *suffixes]),
+    )
+
+
 def test_elimination_injection_flagged():
     rep = verify_short_elimination(
-        max_length=10, engine=Z4Language(10), extra_pieces=["1111"]
+        max_length=10, engine=injected(Z4Language(10), ["1111"], 10)
     )
     assert not rep.passed
     words = {(v["word"], v["order"]) for v in rep.payload["violations"]}
@@ -255,10 +272,8 @@ def test_elimination_injection_flagged():
 @given(st.lists(kernel_rich_words, max_size=3), st.sampled_from([8, 12, 30]))
 def test_elimination_injection_matches_all_starts_scan(extra, max_length):
     orders = range(27, 33)
-    engine = Z4Language(12)
-    rep = verify_short_elimination(
-        max_length=max_length, engine=engine, extra_pieces=extra
-    )
+    engine = injected(Z4Language(12), extra, max_length)
+    rep = verify_short_elimination(max_length=max_length, engine=engine)
     # the language has no kernel factor this short, so every violation
     # comes from the injected strings
     want = sorted(
@@ -271,8 +286,7 @@ def test_elimination_injection_matches_all_starts_scan(extra, max_length):
     got = [(v["word"], v["kernel_period"], v["length"], v["order"])
            for v in rep.payload["violations"]]
     assert got == sorted(set(want))
-    # the engine's distinct factors of cutoff length, and the injected strings
-    assert rep.payload["pieces_scanned"] == len(engine.sorted_factors) + len(extra)
+    assert rep.payload["pieces_scanned"] == len(engine.sorted_factors)
 
 
 # ---------------------------------------------------------------- W set
@@ -469,9 +483,14 @@ def test_small_caps_independent_of_cached_engine(engine157, max_length):
     assert cached == fresh
 
 
-def test_compute_w_engine_cutoff_guard():
+def test_checks_refuse_engine_below_cutoff(w_set):
+    with pytest.raises(ValueError):
+        verify_short_elimination(60, engine=Z4Language(20))
     with pytest.raises(ValueError):
         compute_W(64, engine=Z4Language(64))
+    # E_w reads two letters past the longest W word
+    with pytest.raises(ValueError):
+        verify_Ew(w_set[:1], engine=Z4Language(len(w_set[0].word) + 1))
 
 
 def test_compute_w_jobs_parity():
@@ -649,10 +668,11 @@ def test_n26_check_rejects_wrong_order():
 
 def test_stabilizing_witness_scan_toy():
     t = make_table(3, {1: "00"})
-    rep = stabilizing_witness_scan(t, "1", k=2, max_length=10)
+    image = apply_morphism(t, "1")
+    rep = shortest_k_stabilizing_factor(t.n, image, 2, max_length=10)
     assert rep is not None
     assert (rep.start, rep.length, rep.k) == (1, 2, 2)
-    assert stabilizing_witness_scan(t, "1", k=2, max_length=1) is None
+    assert shortest_k_stabilizing_factor(t.n, image, 2, max_length=1) is None
 
 
 def test_public_annotations_resolve():
