@@ -130,6 +130,8 @@ def _cmd_scan_pansiot(args) -> CommandResult:
 
 def _gen_result(args, words: list[str], extra: dict) -> CommandResult:
     if args.limit is not None:
+        if args.limit < 0:
+            raise ValueError("limit must be nonnegative")
         words = words[: args.limit]
     plain = "\n".join(words) + "\n" if args.plain else None
     return CommandResult("info", {**extra, "count": len(words), "words": words}, plain)

@@ -11,11 +11,12 @@ except at positions congruent to 2 mod 4, which range freely over {1, 2}.
 Family two is the factor language of iterating a nondeterministic substitution
 g on A_4 (images of length 3; the letter 4 has two images).  Members of
 interest are factors of g^k(1) for some k.  Direct iteration is exponential in
-branch count, so the Z4Language engine computes all factors up to a requested
-length by a window fixpoint: a factor of length t in the image of a word lies
-in the image of a factor of length ceil(t/3)+1, so the set of short windows
-closed under (apply g, take windows) determines every factor set below the
-cutoff.
+branch count, so the Z4Language engine computes the factors by recursion on
+their length: a factor of length t of g^k(1), k >= 1, lies in g(x) for a
+factor x of g^(k-1)(1) of length ceil(t/3)+1, unless g^(k-1)(1) is shorter
+than that and the factor lies in a short level word.  So the factors of
+length t are the windows of g applied to the factors of length ceil(t/3)+1,
+plus those of the short level words, and only lengths 1 and 2 need a closure.
 """
 
 from __future__ import annotations
@@ -108,6 +109,8 @@ def zm_count(k: int) -> int:
 
 def zm_enumerate(m: int, k: int, limit: Optional[int] = None) -> list[str]:
     """Members of length k in lexicographic order, optionally truncated."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be nonnegative")
     base = list(alpha_prefix(m, k))
     slots = [i - 1 for i in free_positions(k)]
     total = 2 ** len(slots)
@@ -175,14 +178,39 @@ def g_level(k: int) -> list[str]:
     return sorted(words)
 
 
-class Z4Language:
-    """All factors of union_k g^k(1) up to a fixed length.
+def _windows(words: Iterable[str], t: int) -> set[str]:
+    return {w[i : i + t] for w in words for i in range(len(w) - t + 1)}
 
-    The constructor runs the window fixpoint: seed with every window of length
-    ceil(L/3)+1 of the first level long enough to contain one, then repeatedly
-    apply g to known windows and take the windows of the branch words, until
-    nothing new appears.  Every factor of length at most L lies in a branch
-    word g(x) of a closed window x or in a level word up to the seed level.
+
+def _factors_of_length(t: int, level_words: tuple[str, ...]) -> set[str]:
+    """The factors of length t, given every level word g^k(1) shorter than
+    3 * (ceil(t/3)+1).
+
+    A factor of length t in none of those level words lies in g(x) for a
+    factor x of length m = ceil(t/3)+1, and for t >= 3 m is below t, so the
+    factors of length m come first.  For t <= 2 the factor spans at most t
+    letters of the level it comes from, so the factors of length t are the
+    level words' windows closed under (apply g, take windows)."""
+    found = _windows(level_words, t)
+    m = -(-t // 3) + 1
+    if m < t:
+        return found | _windows(g_apply(_factors_of_length(m, level_words)), t)
+    frontier = set(found)
+    while frontier:
+        new = _windows(g_expand(frontier.pop()), t) - found
+        found |= new
+        frontier |= new
+    return found
+
+
+class Z4Language:
+    """All factors of union_k g^k(1) up to a fixed length L.
+
+    The constructor keeps the level words g^k(1) up to the seed level, the
+    first long enough to hold a window of length ceil(L/3)+1, and the
+    windows: the factors of that length, found by recursion on factor length
+    (see _factors_of_length).  Every factor of length at most L lies in a
+    branch word g(x) of a window x or in a level word.
 
     Factor queries go through one index, `sorted_factors`: the distinct
     factors of length L, sorted.  Every factor extends to the right, so the
@@ -205,22 +233,12 @@ class Z4Language:
 
         levels = [g_level(k) for k in range(k0 + 1)]
         self.level_words: tuple[str, ...] = tuple(sorted(set(chain(*levels))))
-        frontier = {w[i : i + win] for w in levels[k0] for i in range(len(w) - win + 1)}
-        seen = set(frontier)
-        while frontier:
-            x = frontier.pop()
-            for bw in g_expand(x):
-                for i in range(len(bw) - win + 1):
-                    y = bw[i : i + win]
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.add(y)
-        self.windows: tuple[str, ...] = tuple(sorted(seen))
-        self.sorted_factors: tuple[str, ...] = tuple(sorted({
-            p[i : i + L]
-            for p in chain(self._branch_words(), self.level_words)
-            for i in range(len(p) - L + 1)
-        }))
+        self.windows: tuple[str, ...] = tuple(
+            sorted(_factors_of_length(win, self.level_words))
+        )
+        self.sorted_factors: tuple[str, ...] = tuple(
+            sorted(_windows(chain(self._branch_words(), self.level_words), L))
+        )
 
     def _branch_words(self) -> Iterator[str]:
         for x in self.windows:

@@ -124,8 +124,9 @@ def _prefix_candidates(
         sigs[c:] = _int_sigs(s[c:], sigs[c])
         n = len(s)
         # periods up to c were yielded for the previous string, but those
-        # from c - 2 on extend past the common prefix
-        for q in range(max(1, c - 2), n + 1):
+        # from c - 2 on extend past the common prefix; a kernel word has
+        # every letter count divisible by 4, so its length is too
+        for q in range(max(4, (c + 1) & ~3), n + 1, 4):
             if sigs[q] == 0:
                 lim = min(n, q + 3)
                 e = q
@@ -216,6 +217,8 @@ def verify_short_elimination(
     as prefixes of its sorted factors of cutoff length, so a factor is
     reported at its longest extension inside one of them.
     """
+    if max_length < 1:
+        raise ValueError("max_length must be positive")
     engine = _engine_for(engine, max_length)
     found = _walk_union(_eliminated, engine, jobs, max_length)
     violations = [
@@ -265,6 +268,8 @@ def compute_W(
     extend the period (v[q-1] on the left, v[|v|-q] on the right) must yield
     words outside the language.  Sorted by length, then value, then period.
     """
+    if max_length < 1:
+        raise ValueError("max_length must be positive")
     if engine is None:
         # verify_Ew reads two letters past the longest W word; building that
         # far here lets the cache hand it the same engine

@@ -292,8 +292,21 @@ def test_usage_errors_exit_2(capsys):
     [
         ["verify", "binary26", "--depth-cap", "5"],
         ["check", "--r", "1/0", "--word", "121", "--alphabet", "3"],
+        ["gen", "z4", "--length", "3", "--limit", "-1"],
+        ["gen", "zm", "--m", "5", "--k", "10", "--limit", "-1"],
+        ["verify", "w-set", "--max-length", "-1"],
+        ["verify", "ew", "--max-length", "0"],
+        ["verify", "elimination", "--max-length", "-5"],
     ],
-    ids=["depth-cap-reached", "zero-denominator"],
+    ids=[
+        "depth-cap-reached",
+        "zero-denominator",
+        "gen-z4-negative-limit",
+        "gen-zm-negative-limit",
+        "w-set-negative-length",
+        "ew-zero-length",
+        "elimination-negative-length",
+    ],
 )
 def test_bad_input_fails_with_one_document(capsys, argv):
     code, doc = run_doc(capsys, *argv)

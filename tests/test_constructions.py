@@ -2,8 +2,10 @@
 
 The factor-language oracle below iterates the window map level by level and
 stops only when two consecutive window sets are equal; monotonicity then
-certifies the fixpoint, so it is a complete reference for the engine.  Plain
-level enumeration is also used where it is provably complete (short lengths).
+certifies the fixpoint, so it is a complete reference for the engine.  The
+worklist fixpoint the engine ran before its recursion on factor length is
+kept as the reference for the engine's windows and index.  Plain level
+enumeration is also used where it is provably complete (short lengths).
 """
 
 import itertools
@@ -17,6 +19,7 @@ from dejean.carpi import in_psi_kernel
 from dejean.constructions import (
     G_RULE,
     Z4Language,
+    _factors_of_length,
     alpha_prefix,
     beta_prefix,
     free_positions,
@@ -36,8 +39,11 @@ from dejean.constructions import (
 # ---------------------------------------------------------------- oracles
 
 
-def oracle_factors_upto(max_len, max_levels=40):
-    """Factors of every iteration level, by certified window fixpoint."""
+def oracle_factors_upto(max_len, max_levels=40, lengths=None):
+    """Factors of every iteration level, by certified window fixpoint, of
+    each length in lengths (by default 1..max_len)."""
+    if lengths is None:
+        lengths = range(1, max_len + 1)
     win = -(-max_len // 3) + 1
     level_words, k = {"1"}, 0
     harvested = set(level_words)
@@ -63,12 +69,47 @@ def oracle_factors_upto(max_len, max_levels=40):
         if new_windows == windows:
             break
         windows = new_windows
-    out = {ln: set() for ln in range(1, max_len + 1)}
+    out = {ln: set() for ln in lengths}
     for p in harvested:
-        for ln in range(1, max_len + 1):
+        for ln in lengths:
             for i in range(len(p) - ln + 1):
                 out[ln].add(p[i : i + ln])
     return out
+
+
+def fixpoint_windows(max_len):
+    """The closed windows by worklist fixpoint: seed with every window of
+    length ceil(L/3)+1 of the first level long enough to contain one, then
+    repeatedly apply g to known windows and take the windows of the branch
+    words, until nothing new appears."""
+    win = -(-max_len // 3) + 1
+    k0, size = 0, 1
+    while size < win:
+        size *= 3
+        k0 += 1
+    frontier = {w[i : i + win] for w in g_level(k0) for i in range(len(w) - win + 1)}
+    seen = set(frontier)
+    while frontier:
+        x = frontier.pop()
+        for bw in g_expand(x):
+            for i in range(len(bw) - win + 1):
+                y = bw[i : i + win]
+                if y not in seen:
+                    seen.add(y)
+                    frontier.add(y)
+    return seen
+
+
+def fixpoint_index(max_len, level_words):
+    """The sorted factors of length max_len cut from the level words and the
+    branch words of the fixpoint windows, and the sorted windows."""
+    windows = fixpoint_windows(max_len)
+    index = {
+        p[i : i + max_len]
+        for p in itertools.chain(g_apply(windows), level_words)
+        for i in range(len(p) - max_len + 1)
+    }
+    return tuple(sorted(index)), tuple(sorted(windows))
 
 
 class JoinedPiecesOracle:
@@ -208,6 +249,8 @@ def test_zm_enumerate_limit():
     assert len(full) == 16
     assert zm_enumerate(4, 16, limit=5) == full[:5]
     assert zm_enumerate(4, 16, limit=0) == []
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        zm_enumerate(4, 16, limit=-1)
 
 
 def test_zm_count_frozen():
@@ -299,6 +342,27 @@ def test_engine_matches_certified_oracle():
     eng = Z4Language(12)
     for ln in range(1, 13):
         assert set(eng.factors(ln)) == oracle[ln], ln
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 61), 66, 80, 100])
+def test_length_recursion_matches_window_fixpoint(cutoff):
+    eng = Z4Language(cutoff)
+    assert (eng.sorted_factors, eng.windows) == fixpoint_index(cutoff, eng.level_words)
+    oracle = oracle_factors_upto(cutoff, lengths=[cutoff])
+    assert set(eng.sorted_factors) == oracle[cutoff]
+
+
+def test_session_engine_matches_window_fixpoint(engine157):
+    want = fixpoint_index(157, engine157.level_words)
+    assert (engine157.sorted_factors, engine157.windows) == want
+    assert (len(engine157.sorted_factors), len(engine157.windows)) == (68032, 1209)
+
+
+def test_factors_of_length_matches_index():
+    # t = 1 and 2 are the closures, t = 3 the first step of the recursion
+    eng = Z4Language(66)
+    for t in range(1, 67):
+        assert sorted(_factors_of_length(t, eng.level_words)) == eng.factors(t), t
 
 
 def test_engine_factor_counts_frozen():

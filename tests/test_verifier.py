@@ -493,6 +493,14 @@ def test_checks_refuse_engine_below_cutoff(w_set):
         verify_Ew(w_set[:1], engine=Z4Language(len(w_set[0].word) + 1))
 
 
+@pytest.mark.parametrize("max_length", [0, -1])
+def test_checks_refuse_nonpositive_max_length(max_length):
+    with pytest.raises(ValueError, match="max_length must be positive"):
+        compute_W(max_length)
+    with pytest.raises(ValueError, match="max_length must be positive"):
+        verify_short_elimination(max_length)
+
+
 def test_compute_w_jobs_parity():
     eng = Z4Language(66)
     assert compute_W(64, eng, bound_filter=False, jobs=3) == compute_W(
