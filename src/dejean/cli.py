@@ -205,14 +205,12 @@ def _cmd_lower_bound(args) -> CommandResult:
 
 
 def _cmd_verify_elimination(args) -> CommandResult:
-    report = verify_short_elimination(max_length=args.max_length, jobs=args.jobs)
+    report = verify_short_elimination(max_length=args.max_length)
     return CommandResult(report.status, report.to_payload())
 
 
 def _cmd_verify_w_set(args) -> CommandResult:
-    w_set = compute_W(
-        args.max_length, bound_filter=not args.no_bound_filter, jobs=args.jobs
-    )
+    w_set = compute_W(args.max_length, bound_filter=not args.no_bound_filter)
     hist = w_breakdown(w_set)
     payload = {
         "max_length": args.max_length,
@@ -230,7 +228,7 @@ def _cmd_verify_w_set(args) -> CommandResult:
 
 
 def _cmd_verify_ew(args) -> CommandResult:
-    w_set = compute_W(args.max_length, jobs=args.jobs)
+    w_set = compute_W(args.max_length)
     report = verify_Ew(w_set, jobs=args.jobs)
     return CommandResult(report.status, report.to_payload())
 
@@ -311,10 +309,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+    return value
+
+
 def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="worker processes (default: all cores); never changes the output",
     )
@@ -410,14 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify_sub.add_parser("elimination")
     p.add_argument("--max-length", type=int, default=130)
-    _add_jobs(p)
     p.set_defaults(handler=_cmd_verify_elimination, command_name="verify elimination")
 
     p = verify_sub.add_parser("w-set")
     p.add_argument("--max-length", type=int, default=155)
     p.add_argument("--no-bound-filter", action="store_true")
     p.add_argument("--witnesses", action="store_true", help="include all entries")
-    _add_jobs(p)
     p.set_defaults(handler=_cmd_verify_w_set, command_name="verify w-set")
 
     p = verify_sub.add_parser("ew")

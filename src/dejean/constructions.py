@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from functools import cached_property
 from itertools import chain, groupby, product
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core_words import WordLike, letters_of
+from .core_words import WordLike, kernel_signatures, letters_of
 
 # ---------------------------------------------------------------- family one
 
@@ -203,6 +204,81 @@ def _factors_of_length(t: int, level_words: tuple[str, ...]) -> set[str]:
     return found
 
 
+_DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _int_sigs(s: str, sig: int = 0) -> list[int]:
+    """kernel_signatures of a digit string, resumed from sig."""
+    return kernel_signatures(s.encode().translate(_DIGIT_LETTERS), sig)
+
+
+# the low and high bit of each two-bit field of a signature
+_LOW = int("01" * 32, 2)
+_HIGH = _LOW << 1
+
+
+def _walk_kernel_candidates(
+    sorted_strings: Sequence[str],
+) -> tuple[tuple[int, int, int], ...]:
+    """(i, q, e) for each distinct string s = sorted_strings[i] and each q
+    with s[:q] a kernel word, where e = min(q + 3, the end of the run of
+    period q in s).  The strings may differ in length.
+
+    A kernel word has every letter count divisible by 4, so its length is
+    too, and the prefix signatures are kept only at multiples of 4: sigs[b]
+    is the signature of s[:4b], advanced one 4-letter block at a time by
+    adding the block's letter counts field by field mod 4.  Sorted input
+    shares long prefixes, so each string resumes from the last block inside
+    its common prefix c with the previous one.  The periods up to c were
+    yielded for the previous string, but those from c - 2 on extend past the
+    common prefix, so q starts at the multiple of 4 at or below c + 1.
+
+    The walk of the strings cut to cap letters is then the cut of this one:
+    (s[:min(e, cap)], q) for each (i, q, e) with q <= cap.
+    """
+    width = max(map(len, sorted_strings), default=0)
+    low, high = _LOW, _HIGH
+    deltas: dict[str, int] = {}
+    out = []
+    prev = 0
+    sigs = [0]
+    push = sigs.append
+    for i, s in enumerate(sorted_strings):
+        # strings left-aligned as integers: the first differing byte is the
+        # highest set byte of their xor, and a prefix differs at its end
+        cur = int.from_bytes(s.encode().ljust(width, b"\0"), "big")
+        x = cur ^ prev
+        if not x:
+            continue
+        prev = cur
+        c = (8 * width - x.bit_length()) >> 3
+        n = len(s)
+        b = c >> 2
+        del sigs[b + 1 :]
+        sig = sigs[b]
+        if b and c & 3 != 3 and not sig:
+            out.append((i, 4 * b, _run_end(s, 4 * b)))
+        for j in range(4 * b + 4, n + 1, 4):
+            block = s[j - 4 : j]
+            d = deltas.get(block)
+            if d is None:
+                d = deltas[block] = _int_sigs(block)[-1]
+            sig = ((sig & low) + (d & low)) ^ ((sig ^ d) & high)
+            push(sig)
+            if not sig:
+                out.append((i, j, _run_end(s, j)))
+    return tuple(out)
+
+
+def _run_end(s: str, q: int) -> int:
+    """min(q + 3, the end of the run of period q in s)."""
+    lim = min(len(s), q + 3)
+    e = q
+    while e < lim and s[e] == s[e - q]:
+        e += 1
+    return e
+
+
 class Z4Language:
     """All factors of union_k g^k(1) up to a fixed length L.
 
@@ -239,6 +315,15 @@ class Z4Language:
         self.sorted_factors: tuple[str, ...] = tuple(
             sorted(_windows(chain(self._branch_words(), self.level_words), L))
         )
+
+    @cached_property
+    def kernel_candidates(self) -> tuple[tuple[int, int, int], ...]:
+        """The kernel-period prefixes of `sorted_factors`, walked once on
+        first use: (i, q, e) triples as _walk_kernel_candidates yields them.
+        Every factor with a kernel period q extends to the right, so it is a
+        prefix of a cutoff-length factor, and each check cuts this walk to
+        its own length."""
+        return _walk_kernel_candidates(self.sorted_factors)
 
     def _branch_words(self) -> Iterator[str]:
         for x in self.windows:

@@ -4,13 +4,17 @@ The heavy searches all reduce to one primitive, kernel_signatures and
 equal_signature_pairs in core_words: two equal prefix signatures (letter
 counts mod 4) mark a kernel factor, whose period run is then extended.  The
 carpi scanner and check_lemma6 take every signature-equal pair, as the
-pansiot scanner does with prefix permutations for signatures.  The walks
-here take the prefixes s[:q] of signature 0, so s[:q] is a kernel word and q
-a kernel period of every prefix of s on which the period holds.  Every
-factor of the language extends to the right, so each factor with a kernel
-period is a prefix of some distinct factor of the engine's cutoff length.
-The checks walk those factors once, in sorted order, and recompute prefix
-signatures only past the common prefix with the previous one.
+pansiot scanner does with prefix permutations for signatures.  The W set
+and short elimination take the prefixes s[:q] of signature 0, so s[:q] is a
+kernel word and q a kernel period of every prefix of s on which the period
+holds.  Every factor of the language extends to the right, so each factor
+with a kernel period is a prefix of some distinct factor of the engine's
+cutoff length.  Each engine walks those factors once, in sorted order, on
+first use (Z4Language.kernel_candidates): the prefix signatures advance four
+letters a step, since a kernel word's length is a multiple of 4, and are
+recomputed only past the common prefix with the previous factor.  Both
+checks read that one walk cut to their own length: a candidate (i, q, e) on
+the sorted factor s stands for the factor s[:min(e, cap)] when q <= cap.
 
 Each check returns a VerificationReport: a status string plus a payload of
 counts and verbatim witnesses, so results can be pinned by golden files.
@@ -22,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._util import parallel_map, split_chunks
+from ._util import parallel_map
 from .carpi import (
     MorphismTable,
     apply_morphism,
@@ -30,7 +34,14 @@ from .carpi import (
     in_psi_kernel,
     min_psi_repetition_length,
 )
-from .constructions import Z4Language, g_expand, z4_language, zm_is_member, zm_samples
+from .constructions import (
+    Z4Language,
+    _int_sigs,
+    g_expand,
+    z4_language,
+    zm_is_member,
+    zm_samples,
+)
 from .core_words import (
     WordLike,
     equal_signature_pairs,
@@ -87,66 +98,15 @@ class VerificationReport:
 # ------------------------------------------------------------ scan core
 
 
-_DIGIT_LETTERS = bytes.maketrans(b"0123456789", bytes(range(10)))
-
-
-def _int_sigs(s: str, sig: int = 0) -> list[int]:
-    """kernel_signatures of a digit string, resumed from sig."""
-    return kernel_signatures(s.encode().translate(_DIGIT_LETTERS), sig)
-
-
-def _common_prefix_length(a: str, b: str) -> int:
-    lo, hi = 0, min(len(a), len(b))
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if b.startswith(a[:mid]):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _prefix_candidates(
-    sorted_strings: Iterable[str], cap: int
-) -> Iterator[tuple[str, int, int]]:
-    """Yield (s, q, lmax) for each string s, cut to cap letters, and each q
-    with s[:q] a kernel word; lmax = min(q + 3, the end of the run of period q
-    in s).  Signatures are recomputed only past the common prefix with the
-    previous string, so sorted input walks each distinct prefix once; a string
-    equal to the previous one yields nothing new and is skipped."""
-    prev = ""
-    sigs = [0]
-    for s in sorted_strings:
-        s = s[:cap]
-        if s == prev:
-            continue
-        c = _common_prefix_length(prev, s)
-        sigs[c:] = _int_sigs(s[c:], sigs[c])
-        n = len(s)
-        # periods up to c were yielded for the previous string, but those
-        # from c - 2 on extend past the common prefix; a kernel word has
-        # every letter count divisible by 4, so its length is too
-        for q in range(max(4, (c + 1) & ~3), n + 1, 4):
-            if sigs[q] == 0:
-                lim = min(n, q + 3)
-                e = q
-                while e < lim and s[e] == s[e - q]:
-                    e += 1
-                yield s, q, e
-        prev = s
-
-
-def _walk_tasks(engine, jobs: int, cap: int, *params) -> list[tuple]:
-    """The engine's sorted factors of cutoff length in contiguous chunks,
-    one per job, each to be walked cut to cap letters; every factor of
-    length cap is a prefix of one of them.  Results are set unions, so they
-    do not depend on the split."""
-    return [(c, cap, *params) for c in split_chunks(engine.sorted_factors, jobs)]
-
-
-def _walk_union(chunk, engine, jobs: int, cap: int, *params) -> set:
-    """The union of chunk over the walk tasks, fanned out over jobs."""
-    return set().union(*parallel_map(chunk, _walk_tasks(engine, jobs, cap, *params), jobs))
+def _cut_candidates(engine, cap: int) -> Iterator[tuple[str, int, int]]:
+    """(s, q, lmax) for each of the engine's kernel candidates (i, q, e) with
+    q <= cap, where s is its sorted factor and lmax = min(e, cap): the
+    factor s[:lmax] has kernel period q and is as long as its run allows
+    within cap and q + 3 letters."""
+    strings = engine.sorted_factors
+    for i, q, e in engine.kernel_candidates:
+        if q <= cap:
+            yield strings[i], q, min(e, cap)
 
 
 def _engine_for(engine: Optional[Z4Language], cutoff: int) -> Z4Language:
@@ -194,33 +154,26 @@ def _max_kernel_period_run(s: str, period: int) -> int:
 _ELIMINATION_ORDERS = range(27, 33)
 
 
-def _eliminated(args: tuple) -> set:
-    strings, max_length = args
-    found = set()
-    for s, q, lmax in _prefix_candidates(strings, max_length):
-        for n in _ELIMINATION_ORDERS:
-            if (n - 1) * (lmax + 1) >= n * q - 3:
-                found.add((s[:lmax], q, lmax, n))
-    return found
-
-
 def verify_short_elimination(
     max_length: int = 130,
     engine: Optional[Z4Language] = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Search every factor of length at most max_length for a kernel period
     q >= length - 3 making it a psi-kernel repetition at any order 27..32.
 
     The length condition grows with the factor, so only the longest extension
-    of each (start, period) pair is tested.  The engine's factors are walked
+    of each (start, period) pair is tested.  The engine's factors are read
     as prefixes of its sorted factors of cutoff length, so a factor is
     reported at its longest extension inside one of them.
     """
     if max_length < 1:
         raise ValueError("max_length must be positive")
     engine = _engine_for(engine, max_length)
-    found = _walk_union(_eliminated, engine, jobs, max_length)
+    found = set()
+    for s, q, lmax in _cut_candidates(engine, max_length):
+        for n in _ELIMINATION_ORDERS:
+            if (n - 1) * (lmax + 1) >= n * q - 3:
+                found.add((s[:lmax], q, lmax, n))
     violations = [
         {"word": w, "kernel_period": q, "length": ln, "order": n}
         for w, q, ln, n in sorted(found)
@@ -241,10 +194,11 @@ def verify_short_elimination(
 # ------------------------------------------------------------ the W set
 
 
-def _w_candidate_chunk(args: tuple) -> set:
-    strings, max_length, bound_filter = args
+def _w_candidates(engine, max_length: int, bound_filter: bool) -> set[tuple[str, int]]:
+    """Every (v, q) with v a factor of length at most max_length, kernel
+    period q <= 152 and |v| - q <= 3, q <= 31(|v| - q + 2) if filtered."""
     cands = set()
-    for s, q, lmax in _prefix_candidates(strings, max_length):
+    for s, q, lmax in _cut_candidates(engine, max_length):
         if q > 152:
             continue
         for ln in range(q, lmax + 1):
@@ -258,7 +212,6 @@ def compute_W(
     max_length: int = 155,
     engine: Optional[Z4Language] = None,
     bound_filter: bool = True,
-    jobs: int = 1,
 ) -> list[MaximalKernelRepetition]:
     """All maximal kernel repetitions (v, q) in the A_4 factor language with
     |v| <= max_length, |v| - q <= 3, q <= 152 and, unless disabled,
@@ -275,9 +228,8 @@ def compute_W(
         # far here lets the cache hand it the same engine
         engine = z4_language(max_length + 2)
     engine = _engine_for(engine, max_length + 1)
-    cands = _walk_union(_w_candidate_chunk, engine, jobs, max_length, bound_filter)
     out = []
-    for v, q in cands:
+    for v, q in _w_candidates(engine, max_length, bound_filter):
         if engine.is_factor(v[q - 1] + v):
             continue
         if engine.is_factor(v + v[len(v) - q]):
@@ -362,6 +314,8 @@ def binary_avoidance_longest(n: int = 26, depth_cap: int = 64) -> tuple[int, str
     """
     if n < 9:
         raise ValueError("order must be at least 9")
+    if depth_cap < 1:
+        raise ValueError("depth_cap must be positive")
 
     s: list[str] = []
     sigs = [0]

@@ -291,6 +291,8 @@ def test_usage_errors_exit_2(capsys):
     "argv",
     [
         ["verify", "binary26", "--depth-cap", "5"],
+        ["verify", "binary26", "--depth-cap", "0"],
+        ["verify", "binary26", "--depth-cap", "-3"],
         ["check", "--r", "1/0", "--word", "121", "--alphabet", "3"],
         ["gen", "z4", "--length", "3", "--limit", "-1"],
         ["gen", "zm", "--m", "5", "--k", "10", "--limit", "-1"],
@@ -300,6 +302,8 @@ def test_usage_errors_exit_2(capsys):
     ],
     ids=[
         "depth-cap-reached",
+        "depth-cap-zero",
+        "depth-cap-negative",
         "zero-denominator",
         "gen-z4-negative-limit",
         "gen-zm-negative-limit",
@@ -312,6 +316,25 @@ def test_bad_input_fails_with_one_document(capsys, argv):
     code, doc = run_doc(capsys, *argv)
     assert (code, doc["status"]) == (1, "fail")
     assert "error" in doc["payload"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "ew", "--max-length", "20", "--jobs", "0"],
+        ["count", "threshold", "--n", "3", "--k", "5", "--jobs", "-1"],
+        ["verify", "w-set", "--max-length", "20", "--jobs", "2"],
+        ["verify", "elimination", "--max-length", "20", "--jobs", "2"],
+    ],
+    ids=["ew-zero-jobs", "count-negative-jobs", "w-set-jobs", "elimination-jobs"],
+)
+def test_bad_flag_is_one_usage_document(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "usage"
+    assert "--jobs" in doc["payload"]["error"]
 
 
 def _run_subprocess(*argv):
@@ -334,8 +357,9 @@ def test_output_bytes_deterministic():
 
 
 def test_jobs_flag_never_changes_bytes():
-    a = _run_subprocess("verify", "elimination", "--max-length", "40", "--jobs", "1")
-    b = _run_subprocess("verify", "elimination", "--max-length", "40", "--jobs", "3")
+    # E_w fans out over the 160 entries of the W set up to length 80
+    a = _run_subprocess("verify", "ew", "--max-length", "80", "--jobs", "1")
+    b = _run_subprocess("verify", "ew", "--max-length", "80", "--jobs", "3")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
 
@@ -382,9 +406,8 @@ GRAMMAR = [
     (["count", "zm"], [("--m", INTS), ("--k", INTS)]),
     (["count", "z4"], [("--k", INTS)]),
     (["lower-bound"], [("--n", INTS), ("--k", INTS)]),
-    (["verify", "elimination"], [("--max-length", INTS), ("--jobs", JOBS)]),
-    (["verify", "w-set"], [("--max-length", INTS), ("--no-bound-filter", None),
-                           ("--jobs", JOBS)]),
+    (["verify", "elimination"], [("--max-length", INTS)]),
+    (["verify", "w-set"], [("--max-length", INTS), ("--no-bound-filter", None)]),
     (["verify", "ew"], [("--max-length", INTS), ("--jobs", JOBS)]),
     (["verify", "binary26"], [("--n", ["-1", "5", "26", "x"]),
                               ("--depth-cap", INTS)]),

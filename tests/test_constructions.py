@@ -334,6 +334,45 @@ def test_kernel_membership_lifts_through_g():
             stack.extend(w + c for c in "1234")
 
 
+def parikh(w):
+    return [w.count(c) for c in "1234"]
+
+
+def determinant(m):
+    return sum(
+        (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+        * m[0][p[0]] * m[1][p[1]] * m[2][p[2]] * m[3][p[3]]
+        for p in itertools.permutations(range(4))
+    )
+
+
+def test_kernel_lift_at_every_length():
+    """The letter counts of any branch of g(w) are M times those of w, where
+    column a of M counts the letters of g(a).  det M = -3 is odd, so M is
+    invertible mod 4, and a branch has every count divisible by 4 exactly
+    when w has: g lifts kernel membership at every length.  The brute-force
+    lift above and acceptance criterion 09 are its oracle at short lengths."""
+    images = {a: {tuple(parikh(img)) for img in G_RULE[a]} for a in G_RULE}
+    # both images of 4 have the same letter counts
+    assert images == {1: {(2, 1, 0, 0)}, 2: {(2, 0, 0, 1)},
+                      3: {(2, 0, 1, 0)}, 4: {(1, 1, 1, 0)}}
+    m = [[next(iter(images[a]))[r] for a in (1, 2, 3, 4)] for r in range(4)]
+    assert determinant(m) == -3
+    # invertible mod 4: only the zero vector maps to zero
+    for v in itertools.product(range(4), repeat=4):
+        image = [sum(m[r][c] * v[c] for c in range(4)) % 4 for r in range(4)]
+        assert (not any(image)) == (not any(v)), v
+
+
+@given(st.text(alphabet="1234", max_size=60))
+def test_branch_letter_counts_are_linear(w):
+    m = [[parikh(G_RULE[a][0])[r] for a in (1, 2, 3, 4)] for r in range(4)]
+    want = [sum(m[r][c] * n for c, n in enumerate(parikh(w))) for r in range(4)]
+    for bw in itertools.islice(g_expand(w), 16):
+        assert parikh(bw) == want
+        assert in_psi_kernel(bw) == in_psi_kernel(w)
+
+
 # ---------------------------------------------------------------- Z4 engine
 
 

@@ -12,6 +12,7 @@ from itertools import groupby, product
 from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterable, Iterator
 from unittest import mock
 
 import pytest
@@ -24,7 +25,16 @@ from dejean.carpi import (
     in_psi_kernel,
     make_table,
 )
-from dejean.constructions import Z4Language, g_apply, g_expand, zm_samples
+from dejean.constructions import (
+    _HIGH,
+    _LOW,
+    Z4Language,
+    _int_sigs,
+    _walk_kernel_candidates,
+    g_apply,
+    g_expand,
+    zm_samples,
+)
 from dejean.core_words import equal_signature_pairs, kernel_signatures, letters_of
 from dejean._util import split_chunks
 from dejean import constructions, verifier
@@ -32,11 +42,8 @@ from dejean.pansiot import shortest_k_stabilizing_factor
 from dejean.verifier import (
     MaximalKernelRepetition,
     VerificationReport,
-    _int_sigs,
     _max_kernel_period_run,
-    _prefix_candidates,
-    _w_candidate_chunk,
-    _walk_tasks,
+    _w_candidates,
     binary_avoidance_longest,
     check_lemma6,
     check_prop7_desk,
@@ -108,6 +115,51 @@ def test_equal_signature_pairs_are_the_kernel_factors(u):
     }
 
 
+# the per-letter walk that the engine's one block walk replaced, kept as
+# its oracle
+
+
+def _common_prefix_length(a: str, b: str) -> int:
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[:mid]):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _prefix_candidates(
+    sorted_strings: Iterable[str], cap: int
+) -> Iterator[tuple[str, int, int]]:
+    """Yield (s, q, lmax) for each string s, cut to cap letters, and each q
+    with s[:q] a kernel word; lmax = min(q + 3, the end of the run of period q
+    in s).  Signatures are recomputed only past the common prefix with the
+    previous string, so sorted input walks each distinct prefix once; a string
+    equal to the previous one yields nothing new and is skipped."""
+    prev = ""
+    sigs = [0]
+    for s in sorted_strings:
+        s = s[:cap]
+        if s == prev:
+            continue
+        c = _common_prefix_length(prev, s)
+        sigs[c:] = _int_sigs(s[c:], sigs[c])
+        n = len(s)
+        # periods up to c were yielded for the previous string, but those
+        # from c - 2 on extend past the common prefix; a kernel word has
+        # every letter count divisible by 4, so its length is too
+        for q in range(max(4, (c + 1) & ~3), n + 1, 4):
+            if sigs[q] == 0:
+                lim = min(n, q + 3)
+                e = q
+                while e < lim and s[e] == s[e - q]:
+                    e += 1
+                yield s, q, e
+        prev = s
+
+
 def _tail_candidates(s: str, cap: int):
     """The all-starts scan the sorted prefix walk replaced, kept as its
     oracle: (start, kernel_period, max_length) for factors of s with a kernel
@@ -165,6 +217,54 @@ def test_prefix_walk_matches_all_starts_scan(strings, cap):
         for i, q, lmax in _tail_candidates(w, cap)
     }
     assert walked == scanned
+
+
+def cut_walk(strings, walk, cap):
+    """The block walk of the strings cut to cap, in the form of the
+    oracle's (s[:q], q, lmax)."""
+    return {(strings[i][:q], q, min(e, cap)) for i, q, e in walk if q <= cap}
+
+
+def oracle_walk(strings, cap):
+    return {(s[:q], q, lmax) for s, q, lmax in _prefix_candidates(strings, cap)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.text(alphabet="12345", max_size=40), kernel_rich_words),
+             max_size=4),
+    st.sampled_from([4, 9, 20, 155]),
+)
+def test_block_walk_matches_letter_walk(strings, cap):
+    # mixed lengths, some longer than the cap
+    suffixes = sorted(w[i:] for w in strings for i in range(len(w)))
+    walked = cut_walk(suffixes, _walk_kernel_candidates(suffixes), cap)
+    assert walked == oracle_walk(suffixes, cap)
+    assert walked == {
+        (w[i : i + q], q, lmax)
+        for w in strings
+        for i, q, lmax in _tail_candidates(w, cap)
+    }
+    # uncut, the two walks visit the same strings in the same order
+    width = max(map(len, suffixes), default=0)
+    assert [
+        (suffixes[i], q, e) for i, q, e in _walk_kernel_candidates(suffixes)
+    ] == list(_prefix_candidates(suffixes, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="123456789", max_size=80), kernel_rich_words))
+def test_block_delta_addition_matches_kernel_signatures(s):
+    want = _int_sigs(s)
+    sig = 0
+    for j in range(4, len(s) + 1, 4):
+        d = _int_sigs(s[j - 4 : j])[-1]
+        sig = ((sig & _LOW) + (d & _LOW)) ^ ((sig ^ d) & _HIGH)
+        assert sig == want[j], j
+    # the walk of one string reads its signature at every multiple of 4
+    assert [q for _, q, _ in _walk_kernel_candidates([s])] == [
+        q for q in range(4, len(s) + 1, 4) if want[q] == 0
+    ]
 
 
 def oracle_max_run(s, period):
@@ -253,9 +353,11 @@ def injected(engine, extra, max_length):
     every suffix of the injected strings, so each factor of those is walked;
     a sorted walk over the merged list yields the union of walking each."""
     suffixes = [p[i:] for p in extra for i in range(len(p))]
+    strings = sorted([*engine.sorted_factors, *suffixes])
     return SimpleNamespace(
         max_factor_length=max_length,
-        sorted_factors=sorted([*engine.sorted_factors, *suffixes]),
+        sorted_factors=strings,
+        kernel_candidates=_walk_kernel_candidates(strings),
     )
 
 
@@ -361,6 +463,7 @@ class LevelwiseEngine:
             windows = new_windows
         self.pieces = frozenset(pieces)
         self.sorted_factors = tuple(sorted(p for p in pieces if len(p) == L))
+        self.kernel_candidates = _walk_kernel_candidates(self.sorted_factors)
         self._haystack = "#".join(sorted(pieces))
 
     def is_factor(self, w):
@@ -401,11 +504,7 @@ def test_w_candidates_match_all_starts_scan(cutoff):
     engine = Z4Language(cutoff)
     for flag in (True, False):
         want = old_w_candidates(old_pieces, cutoff - 2, flag)
-        for jobs in (1, 2, 3):
-            tasks = _walk_tasks(engine, jobs, cutoff - 2, flag)
-            assert len(tasks) == min(jobs, len(engine.sorted_factors))
-            got = set().union(*map(_w_candidate_chunk, tasks))
-            assert got == want, (flag, jobs)
+        assert _w_candidates(engine, cutoff - 2, flag) == want, flag
 
 
 def _windows_at(run, offset, length):
@@ -442,15 +541,11 @@ def test_walk_matches_sorted_windows(cutoff, request):
     if cutoff == 157:
         assert len(windows) == 68032
     win = engine.window_length
+    walked = list(engine.sorted_factors)
+    assert walked == windows
     for cap in sorted({1, 2, 7, win - 1, win, win + 1, cutoff - 2, cutoff}):
         want = distinct(w[:cap] for w in windows)
-        for jobs in (1, 2, 3):
-            tasks = _walk_tasks(engine, jobs, cap)
-            assert len(tasks) == jobs
-            assert all(t[1] == cap for t in tasks)
-            walked = [s for t in tasks for s in t[0]]
-            assert walked == windows, (cap, jobs)
-            assert distinct(s[:cap] for s in walked) == want, (cap, jobs)
+        assert distinct(s[:cap] for s in walked) == want, cap
 
 
 def test_small_cap_walks_factors_of_cap_length(engine157):
@@ -461,12 +556,49 @@ def test_small_cap_walks_factors_of_cap_length(engine157):
     pieces = sorted(engine157.pieces)
     prefixes = {w[:win] for w in _sorted_windows(pieces, engine157.max_factor_length)}
     for cap in (1, 2, 7, win - 1, win):
-        for jobs in (1, 2):
-            tasks = _walk_tasks(engine157, jobs, cap)
-            assert [t[1:] for t in tasks] == [(cap,)] * jobs
-            walked = distinct(s[:cap] for t in tasks for s in t[0])
-            assert walked == sorted({w[:cap] for w in prefixes})
-            assert walked == engine157.factors(cap)
+        walked = distinct(s[:cap] for s in engine157.sorted_factors)
+        assert walked == sorted({w[:cap] for w in prefixes})
+        assert walked == engine157.factors(cap)
+
+
+@pytest.mark.parametrize("cutoff", [20, 66, 100, 157])
+def test_engine_walk_cut_matches_letter_walk(cutoff, request):
+    engine = request.getfixturevalue("engine157") if cutoff == 157 else Z4Language(cutoff)
+    strings = engine.sorted_factors
+    assert [(strings[i], q, e) for i, q, e in engine.kernel_candidates] == list(
+        _prefix_candidates(strings, cutoff)
+    )
+    win = engine.window_length
+    caps = {1, 2, 7, win - 1, win, win + 1, 76, 77, 100, 130, 155}
+    for cap in sorted(c for c in caps if c <= cutoff):
+        got = cut_walk(strings, engine.kernel_candidates, cap)
+        assert got == oracle_walk(strings, cap), cap
+
+
+def test_engine_walk_distinct_candidates(engine157):
+    counts = {
+        cap: len(cut_walk(engine157.sorted_factors, engine157.kernel_candidates, cap))
+        for cap in (60, 100, 130, 155)
+    }
+    assert counts == {60: 0, 100: 1540, 130: 2556, 155: 4604}
+
+
+def test_w_set_and_elimination_walk_the_engine_once():
+    walk = mock.Mock(wraps=_walk_kernel_candidates)
+    with mock.patch.object(constructions, "_walk_kernel_candidates", walk):
+        engine = Z4Language(157)
+        # as in a traced certify pass: compute_W gets a wrapper that forwards
+        # the engine's attributes, and elimination the cached engine itself
+        class Forwarding:
+            def __getattr__(self, name):
+                return getattr(engine, name)
+
+        w = compute_W(155, engine=Forwarding())
+        with mock.patch.dict(constructions._Z4_CACHE, {157: engine}, clear=True):
+            rep = verify_short_elimination(130)
+    assert walk.call_count == 1
+    assert len(w) == 200
+    assert rep.passed
 
 
 # 54 is the window length of the 157 engine
@@ -499,13 +631,6 @@ def test_checks_refuse_nonpositive_max_length(max_length):
         compute_W(max_length)
     with pytest.raises(ValueError, match="max_length must be positive"):
         verify_short_elimination(max_length)
-
-
-def test_compute_w_jobs_parity():
-    eng = Z4Language(66)
-    assert compute_W(64, eng, bound_filter=False, jobs=3) == compute_W(
-        64, eng, bound_filter=False
-    )
 
 
 # ---------------------------------------------------------------- E_w
