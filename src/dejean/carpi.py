@@ -15,12 +15,11 @@ consumes them but never fabricates them.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional, Union
 
+from ._util import Record
 from .core_words import (
     RepetitionReport,
     ReportKind,
@@ -34,16 +33,13 @@ from .core_words import (
 from .pansiot import gamma
 
 
-@dataclass(frozen=True)
-class CarpiParams:
+class CarpiParams(Record):
     """Derived quantities for order n: source alphabet size m, the block
-    parameter ell, and the uniform image length (n-1)(ell+1)."""
+    parameter ell, and the uniform image length (n-1)(ell+1).
+    below_case_range is set for 9 <= n < 27, where the machinery is defined
+    but the case analysis is not."""
 
-    n: int
-    m: int
-    ell: int
-    image_length: int
-    below_case_range: bool  # 9 <= n < 27: machinery defined, case analysis not
+    __slots__ = ("n", "m", "ell", "image_length", "below_case_range")
 
 
 def params(n: int) -> CarpiParams:
@@ -127,14 +123,11 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
 # ---------------------------------------------------------------- tables
 
 
-@dataclass(frozen=True)
-class MorphismTable:
-    """A uniform binary morphism on A_m, given extensionally."""
+class MorphismTable(Record):
+    """A uniform binary morphism on A_m, given extensionally: images maps
+    each letter to its image over the binary letters {1, 2}."""
 
-    n: int
-    m: int
-    image_length: int
-    images: dict[int, tuple[int, ...]]  # letter -> binary letters {1,2}
+    __slots__ = ("n", "m", "image_length", "images")
 
     def __post_init__(self) -> None:
         if self.m < 1:
@@ -165,14 +158,17 @@ def make_table(n: int, images01: dict[int, str]) -> MorphismTable:
     return MorphismTable(n=n, m=len(imgs), image_length=length, images=imgs)
 
 
-def load_morphism_table(source: Union[str, Path, dict]) -> MorphismTable:
+def load_morphism_table(source: Union[str, os.PathLike, dict]) -> MorphismTable:
     """Load and strictly validate a morphism table document.
 
     The document is JSON with integer fields n and m and a map images from
     letter strings "1".."m" to 0/1 strings of length exactly (n-1)(ell+1).
     """
-    if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text())
+    if isinstance(source, (str, os.PathLike)):
+        import json
+
+        with open(source) as fh:
+            doc = json.load(fh)
     else:
         doc = source
     if not isinstance(doc, dict):

@@ -17,9 +17,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
+from ._util import Record
 from .carpi import PipelineError, load_morphism_table, threshold_pipeline
 from .constructions import (
     alpha_prefix,
@@ -65,11 +65,12 @@ EXPECTED_W_BREAKDOWN = {(76, 77): 160, (92, 93): 36, (112, 114): 4}
 EXPECTED_BINARY26 = 15
 
 
-@dataclass(frozen=True)
-class CommandResult:
-    status: str
-    payload: dict
-    plain: Optional[str] = None  # raw text replacing the JSON document
+class CommandResult(Record):
+    """A command's status and payload; plain, when set, is raw text printed
+    in place of the JSON document."""
+
+    __slots__ = ("status", "payload", "plain")
+    _defaults = {"plain": None}
 
     @property
     def exit_code(self) -> int:
@@ -309,14 +310,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"invalid positive int value: {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"invalid {kind} int value: {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0, "nonnegative")
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET,
+        "--budget", type=_nonnegative_int, default=DEFAULT_BUDGET,
         help="candidate extensions examined before the table is cut; once the "
              "frontier is sharded it caps each worker, so the total can reach "
              "about jobs x budget (the table is the same)")
@@ -438,16 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = verify_sub.add_parser("lemma6")
     p.add_argument("--m", type=int, default=5)
-    p.add_argument("--length", type=int, default=2048)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--length", type=_positive_int, default=2048)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify_lemma6, command_name="verify lemma6")
 
     p = verify_sub.add_parser("prop7-desk")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--n", type=int, default=33)
-    p.add_argument("--length", type=int, default=2048)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--length", type=_positive_int, default=2048)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=_cmd_verify_prop7, command_name="verify prop7-desk")
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Union
+
+from ._util import Record
 
 Letters = Sequence[int]
 
@@ -32,12 +33,11 @@ class ReportKind(str, Enum):
     STABILIZING = "stabilizing"
 
 
-@dataclass(frozen=True)
-class Word:
-    """An immutable word over {1..alphabet_size}."""
+class Word(Record):
+    """An immutable word over {1..alphabet_size}: a tuple of letters and
+    the alphabet size."""
 
-    letters: tuple[int, ...]
-    alphabet_size: int
+    __slots__ = ("letters", "alphabet_size")
 
     def __post_init__(self) -> None:
         if self.alphabet_size < 1:
@@ -105,16 +105,13 @@ def format_ratio(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
-@dataclass(frozen=True)
-class RepetitionReport:
+class RepetitionReport(Record):
     """A located repetition: factor at `start` (1-based) of the given length,
-    with a period and the exact exponent length/period."""
+    with a period, the exact exponent length/period and a ReportKind; k is
+    the stabilizing order, set only for kind == STABILIZING."""
 
-    start: int
-    length: int
-    period: int
-    kind: ReportKind
-    k: Optional[int] = None  # stabilizing order, only for kind == STABILIZING
+    __slots__ = ("start", "length", "period", "kind", "k")
+    _defaults = {"k": None}
 
     @property
     def exponent(self) -> Fraction:

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from ._util import parallel_map, split_chunks
+from ._util import Record, parallel_map, split_chunks
 from .core_words import period_table, repetition_threshold, suffix_violates
 
 DIGITS = 6
@@ -68,23 +67,18 @@ def decimal_kth_root(c: int, k: int) -> str:
 # ------------------------------------------------------------ tables
 
 
-@dataclass(frozen=True)
-class GrowthTable:
+class GrowthTable(Record):
     """Counts of a language by word length with derived growth columns.
 
-    counts[i] is the number of words of length i + 1.  ratios[i] is
-    counts[i + 1] / counts[i] as a decimal string (None when the denominator
-    is zero), kth_roots[i] is counts[i] ** (1 / (i + 1)).  truncated_at is
-    the first length the enumeration budget could not finish, or None for a
-    complete table.
+    name and the parameters dict say which language.  counts[i] is the
+    number of words of length i + 1.  ratios[i] is counts[i + 1] / counts[i]
+    as a decimal string (None when the denominator is zero), kth_roots[i] is
+    counts[i] ** (1 / (i + 1)).  truncated_at is the first length the
+    enumeration budget could not finish, or None for a complete table.
     """
 
-    name: str
-    parameters: dict
-    counts: tuple[int, ...]
-    ratios: tuple[Optional[str], ...]
-    kth_roots: tuple[str, ...]
-    truncated_at: Optional[int] = None
+    __slots__ = ("name", "parameters", "counts", "ratios", "kth_roots", "truncated_at")
+    _defaults = {"truncated_at": None}
 
     def to_payload(self) -> dict:
         return {
@@ -218,6 +212,8 @@ def count_threshold_words(
         raise ValueError("threshold languages need an alphabet of size >= 2")
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
+    if budget < 0:
+        raise ValueError("budget must be nonnegative")
     r = repetition_threshold(n)
     params = {"alphabet": n, "threshold": f"{r.numerator}/{r.denominator}",
               "strict": True, "symmetry": symmetry}

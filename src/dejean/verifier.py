@@ -23,10 +23,9 @@ counts and verbatim witnesses, so results can be pinned by golden files.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from ._util import parallel_map
+from ._util import Record, parallel_map
 from .carpi import (
     MorphismTable,
     apply_morphism,
@@ -51,13 +50,11 @@ from .core_words import (
 from .pansiot import shortest_k_stabilizing_factor
 
 
-@dataclass(frozen=True)
-class MaximalKernelRepetition:
+class MaximalKernelRepetition(Record):
     """A factor of the A_4 language with a kernel period, unextendable on
     either side without breaking the period or leaving the language."""
 
-    word: str
-    kernel_period: int
+    __slots__ = ("word", "kernel_period")
 
     def __post_init__(self) -> None:
         p = self.kernel_period
@@ -81,11 +78,12 @@ class MaximalKernelRepetition:
         }
 
 
-@dataclass
-class VerificationReport:
-    name: str
-    status: str  # "pass", "fail" or "unavailable"
-    payload: dict = field(default_factory=dict)
+class VerificationReport(Record):
+    """A named check's outcome: status is "pass", "fail" or "unavailable",
+    and payload (a fresh dict by default) holds what the check found."""
+
+    __slots__ = ("name", "status", "payload")
+    _defaults = {"payload": dict}
 
     @property
     def passed(self) -> bool:

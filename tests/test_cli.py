@@ -319,22 +319,45 @@ def test_bad_input_fails_with_one_document(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "flag, argv",
     [
-        ["verify", "ew", "--max-length", "20", "--jobs", "0"],
-        ["count", "threshold", "--n", "3", "--k", "5", "--jobs", "-1"],
-        ["verify", "w-set", "--max-length", "20", "--jobs", "2"],
-        ["verify", "elimination", "--max-length", "20", "--jobs", "2"],
+        ("--jobs", ["verify", "ew", "--max-length", "20", "--jobs", "0"]),
+        ("--jobs", ["count", "threshold", "--n", "3", "--k", "5", "--jobs", "-1"]),
+        ("--jobs", ["verify", "w-set", "--max-length", "20", "--jobs", "2"]),
+        ("--jobs", ["verify", "elimination", "--max-length", "20", "--jobs", "2"]),
+        ("--samples", ["verify", "lemma6", "--samples", "0"]),
+        ("--samples", ["verify", "prop7-desk", "--samples", "-2"]),
+        ("--length", ["verify", "lemma6", "--length", "0"]),
+        ("--length", ["verify", "prop7-desk", "--length", "-1"]),
+        ("--budget", ["count", "threshold", "--n", "3", "--k", "5", "--budget", "-5"]),
     ],
-    ids=["ew-zero-jobs", "count-negative-jobs", "w-set-jobs", "elimination-jobs"],
+    ids=[
+        "ew-zero-jobs",
+        "count-negative-jobs",
+        "w-set-jobs",
+        "elimination-jobs",
+        "lemma6-zero-samples",
+        "prop7-negative-samples",
+        "lemma6-zero-length",
+        "prop7-negative-length",
+        "count-negative-budget",
+    ],
 )
-def test_bad_flag_is_one_usage_document(capsys, argv):
+def test_bad_flag_is_one_usage_document(capsys, flag, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "usage"
-    assert "--jobs" in doc["payload"]["error"]
+    assert flag in doc["payload"]["error"]
+
+
+def test_zero_budget_is_a_truncated_table(capsys):
+    code, doc = run_doc(capsys, "count", "threshold", "--n", "3", "--k", "5",
+                        "--budget", "0")
+    assert (code, doc["status"]) == (0, "info")
+    assert doc["payload"]["counts"] == []
+    assert doc["payload"]["truncated_at"] == 1
 
 
 def _run_subprocess(*argv):

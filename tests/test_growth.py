@@ -303,7 +303,10 @@ def test_threshold_guards():
         count_threshold_words(1, 5)
     with pytest.raises(ValueError):
         count_threshold_words(3, -1)
+    with pytest.raises(ValueError, match="budget must be nonnegative"):
+        count_threshold_words(3, 5, budget=-5)
     assert count_threshold_words(3, 0).counts == ()
+    assert count_threshold_words(3, 5, budget=0).truncated_at == 1
 
 
 def test_tightening_threshold_cannot_gain_words():

@@ -1,13 +1,18 @@
 """The library exports what the command line, the benchmark and the
-documented API use.
+documented API use, and importing it loads only what it needs.
 
 A public function or class of a `dejean` module must be in `dejean.__all__`
 or be referenced from library code outside its own definition, or from the
 benchmark harness in `perfbench/`.  Tests do not count: a helper only tests
 need belongs in the test module that uses it.
+
+`import dejean` loads every module of the package, eagerly, and none of the
+standard-library modules that only some calls need.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import dejean
@@ -84,3 +89,37 @@ def f():
     return c.d, "e"
 '''
     assert references(ast.parse(source)) == {"c", "d", "e"}
+
+
+# standard-library modules that only some calls need
+DEFERRED_STDLIB = ("multiprocessing", "json", "dataclasses", "inspect", "pathlib")
+
+
+def modules_after(statement):
+    """The names in sys.modules after statement, in a fresh interpreter run
+    without site, so only the statement's own imports are counted."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {statement}; "
+            "print(' '.join(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_import_loads_the_package_but_no_deferred_stdlib():
+    submodules = {f"dejean.{p.stem}" for p in PACKAGE.glob("*.py") if p.stem != "__init__"}
+    library = modules_after("import dejean")
+    assert library >= submodules - {"dejean.cli"}
+    assert not library & set(DEFERRED_STDLIB)
+    cli = modules_after("import dejean.cli")
+    assert cli >= submodules
+    assert cli & set(DEFERRED_STDLIB) == {"json"}
+
+
+def test_no_module_defers_its_names_or_uses_dataclasses():
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        defined = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        assert "__getattr__" not in defined, path.name
+        imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+        imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+        assert "dataclasses" not in imported, path.name
