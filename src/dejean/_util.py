@@ -79,11 +79,17 @@ def split_chunks(items: Sequence, jobs: int) -> list[list]:
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     """Map preserving order; forks worker processes when jobs > 1.
 
-    multiprocessing is imported only when a pool starts, so importing the
-    package does not load it."""
+    The pool is a ProcessPoolExecutor, so a worker that dies, or a task or
+    result that cannot be pickled or unpickled, raises (BrokenProcessPool or
+    the pickling error) instead of stalling the map.  Items go out in chunks
+    sized as multiprocessing.Pool.map sizes them, about four per worker.
+    concurrent.futures is imported only when a pool starts, so importing
+    the package does not load it or multiprocessing."""
     if jobs > 1 and len(items) > 1:
-        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        with multiprocessing.Pool(min(jobs, len(items))) as pool:
-            return pool.map(fn, items)
+        workers = min(jobs, len(items))
+        chunksize = -(-len(items) // (4 * workers))
+        with ProcessPoolExecutor(workers) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
     return [fn(x) for x in items]

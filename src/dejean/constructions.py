@@ -25,7 +25,7 @@ import random
 from bisect import bisect_left
 from functools import cached_property
 from itertools import chain, groupby, product
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .core_words import WordLike, kernel_signatures, letters_of
 
@@ -183,6 +183,20 @@ def _windows(words: Iterable[str], t: int) -> set[str]:
     return {w[i : i + t] for w in words for i in range(len(w) - t + 1)}
 
 
+def _packed_windows(words: Iterable[str], t: int) -> set[int]:
+    """The windows of length t of the words, each read as a base-16 integer
+    and cut from the word's integer by shift and mask."""
+    mask = (1 << 4 * t) - 1
+    out: set[int] = set()
+    add = out.add
+    for w in words:
+        if len(w) >= t:
+            v = int(w, 16)
+            for shift in range(0, 4 * (len(w) - t) + 1, 4):
+                add(v >> shift & mask)
+    return out
+
+
 def _factors_of_length(t: int, level_words: tuple[str, ...]) -> set[str]:
     """The factors of length t, given every level word g^k(1) shorter than
     3 * (ceil(t/3)+1).
@@ -218,11 +232,14 @@ _HIGH = _LOW << 1
 
 
 def _walk_kernel_candidates(
-    sorted_strings: Sequence[str],
+    packed: Iterable[int],
 ) -> tuple[tuple[int, int, int], ...]:
-    """(i, q, e) for each distinct string s = sorted_strings[i] and each q
-    with s[:q] a kernel word, where e = min(q + 3, the end of the run of
-    period q in s).  The strings may differ in length.
+    """(i, q, e) for each distinct string s, the i-th of the packed ones, and
+    each q with s[:q] a kernel word, where e = min(q + 3, the end of the run
+    of period q in s).  Each string is over the letters 1-9 and comes packed
+    as int(s, 16), so its first hex digit is nonzero and its length is its
+    number of hex digits.  The strings may differ in length, and each is
+    decoded only while the walk reads it.
 
     A kernel word has every letter count divisible by 4, so its length is
     too, and the prefix signatures are kept only at multiples of 4: sigs[b]
@@ -236,23 +253,28 @@ def _walk_kernel_candidates(
     The walk of the strings cut to cap letters is then the cut of this one:
     (s[:min(e, cap)], q) for each (i, q, e) with q <= cap.
     """
-    width = max(map(len, sorted_strings), default=0)
     low, high = _LOW, _HIGH
     deltas: dict[str, int] = {}
     out = []
+    width = 0
     prev = 0
     sigs = [0]
     push = sigs.append
-    for i, s in enumerate(sorted_strings):
-        # strings left-aligned as integers: the first differing byte is the
-        # highest set byte of their xor, and a prefix differs at its end
-        cur = int.from_bytes(s.encode().ljust(width, b"\0"), "big")
+    for i, v in enumerate(packed):
+        n = (v.bit_length() + 3) >> 2
+        if n > width:
+            prev <<= 4 * (n - width)
+            width = n
+        # strings left-aligned at the longest length so far: the first
+        # differing letter is the highest nonzero hex digit of their xor,
+        # and a prefix differs at its end, where it is padded with zeros
+        cur = v << 4 * (width - n)
         x = cur ^ prev
         if not x:
             continue
         prev = cur
-        c = (8 * width - x.bit_length()) >> 3
-        n = len(s)
+        s = "%x" % v
+        c = (4 * width - x.bit_length()) >> 2
         b = c >> 2
         del sigs[b + 1 :]
         sig = sigs[b]
@@ -288,9 +310,12 @@ class Z4Language:
     (see _factors_of_length).  Every factor of length at most L lies in a
     branch word g(x) of a window x or in a level word.
 
-    Factor queries go through one index, `sorted_factors`: the distinct
-    factors of length L, sorted.  Every factor extends to the right, so the
-    factors of any shorter length are exactly the prefixes of the index.
+    Factor queries go through one index, `index`: the distinct factors of
+    length L, sorted, each packed into one integer by reading its letters as
+    base-16 digits (the letters 1-4 are hex digits, and at a fixed length
+    the integer order is the string order).  Every factor extends to the
+    right, so the factors of any shorter length l are exactly the prefixes
+    of the index, the integers shifted right by 4(L - l) bits.
     """
 
     def __init__(self, max_factor_length: int):
@@ -312,18 +337,25 @@ class Z4Language:
         self.windows: tuple[str, ...] = tuple(
             sorted(_factors_of_length(win, self.level_words))
         )
-        self.sorted_factors: tuple[str, ...] = tuple(
-            sorted(_windows(chain(self._branch_words(), self.level_words), L))
+        self.index: tuple[int, ...] = tuple(
+            sorted(_packed_windows(chain(self._branch_words(), self.level_words), L))
         )
+
+    def factor(self, i: int) -> str:
+        """The i-th factor of cutoff length in sorted order, decoded from
+        the index (its first letter is nonzero, so it needs no padding)."""
+        return "%x" % self.index[i]
 
     @cached_property
     def kernel_candidates(self) -> tuple[tuple[int, int, int], ...]:
-        """The kernel-period prefixes of `sorted_factors`, walked once on
-        first use: (i, q, e) triples as _walk_kernel_candidates yields them.
-        Every factor with a kernel period q extends to the right, so it is a
-        prefix of a cutoff-length factor, and each check cuts this walk to
-        its own length."""
-        return _walk_kernel_candidates(self.sorted_factors)
+        """The kernel-period prefixes of the sorted factors of cutoff length,
+        walked once on first use: (i, q, e) triples as
+        _walk_kernel_candidates yields them from the index, decoding one
+        factor at a time, with i an index position.  Every factor with a
+        kernel period q extends to the right, so it is a prefix of a
+        cutoff-length factor, and each check cuts this walk to its own
+        length."""
+        return _walk_kernel_candidates(self.index)
 
     def _branch_words(self) -> Iterator[str]:
         for x in self.windows:
@@ -341,18 +373,26 @@ class Z4Language:
             s = w
         else:
             s = "".join(str(a) for a in letters_of(w))
-        if len(s) > self.max_factor_length:
-            raise ValueError(
-                f"probe of length {len(s)} exceeds cutoff {self.max_factor_length}"
-            )
-        index = self.sorted_factors
-        i = bisect_left(index, s)
-        return i < len(index) and index[i].startswith(s)
+        L = self.max_factor_length
+        if len(s) > L:
+            raise ValueError(f"probe of length {len(s)} exceeds cutoff {L}")
+        # a prefix of the index is len(s) hex digits, each 1-4: a probe
+        # holding a letter 0 or 5-9 matches none, nor does one that int()
+        # reads as fewer digits or cannot read (a raw letter such as -1)
+        try:
+            v = int(s or "0", 16)
+        except ValueError:
+            return False
+        shift = 4 * (L - len(s))
+        index = self.index
+        i = bisect_left(index, v << shift)
+        return i < len(index) and index[i] >> shift == v
 
     def factors(self, length: int) -> list[str]:
         if not 0 < length <= self.max_factor_length:
             raise ValueError("length out of range")
-        return [k for k, _ in groupby(p[:length] for p in self.sorted_factors)]
+        shift = 4 * (self.max_factor_length - length)
+        return ["%x" % k for k, _ in groupby(v >> shift for v in self.index)]
 
 
 _Z4_CACHE: dict[int, Z4Language] = {}

@@ -9,12 +9,15 @@ and short elimination take the prefixes s[:q] of signature 0, so s[:q] is a
 kernel word and q a kernel period of every prefix of s on which the period
 holds.  Every factor of the language extends to the right, so each factor
 with a kernel period is a prefix of some distinct factor of the engine's
-cutoff length.  Each engine walks those factors once, in sorted order, on
-first use (Z4Language.kernel_candidates): the prefix signatures advance four
-letters a step, since a kernel word's length is a multiple of 4, and are
-recomputed only past the common prefix with the previous factor.  Both
-checks read that one walk cut to their own length: a candidate (i, q, e) on
-the sorted factor s stands for the factor s[:min(e, cap)] when q <= cap.
+cutoff length.  The engine holds those factors packed, one integer each
+(Z4Language.index), and walks them once, in sorted order, on first use
+(Z4Language.kernel_candidates), decoding one factor at a time: the prefix
+signatures advance four letters a step, since a kernel word's length is a
+multiple of 4, and are recomputed only past the common prefix with the
+previous factor.  Both checks read that one walk cut to their own length:
+a candidate (i, q, e) on the sorted factor s = engine.factor(i) stands for
+the factor s[:min(e, cap)] when q <= cap, and only those candidates'
+factors are decoded again.
 
 Each check returns a VerificationReport: a status string plus a payload of
 counts and verbatim witnesses, so results can be pinned by golden files.
@@ -98,13 +101,14 @@ class VerificationReport(Record):
 
 def _cut_candidates(engine, cap: int) -> Iterator[tuple[str, int, int]]:
     """(s, q, lmax) for each of the engine's kernel candidates (i, q, e) with
-    q <= cap, where s is its sorted factor and lmax = min(e, cap): the
-    factor s[:lmax] has kernel period q and is as long as its run allows
-    within cap and q + 3 letters."""
-    strings = engine.sorted_factors
+    q <= cap, where s = engine.factor(i), the i-th sorted factor decoded
+    from the packed index, and lmax = min(e, cap): the factor s[:lmax] has
+    kernel period q and is as long as its run allows within cap and q + 3
+    letters."""
+    factor = engine.factor
     for i, q, e in engine.kernel_candidates:
         if q <= cap:
-            yield strings[i], q, min(e, cap)
+            yield factor(i), q, min(e, cap)
 
 
 def _engine_for(engine: Optional[Z4Language], cutoff: int) -> Z4Language:
@@ -183,7 +187,7 @@ def verify_short_elimination(
         {
             "max_length": max_length,
             "orders": list(_ELIMINATION_ORDERS),
-            "pieces_scanned": len(engine.sorted_factors),
+            "pieces_scanned": len(engine.index),
             "violations": violations,
         },
     )

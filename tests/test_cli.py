@@ -465,7 +465,7 @@ def argv_strategy(draw):
 
 
 class _SerialPool:
-    def __init__(self, processes=None):
+    def __init__(self, max_workers=None):
         pass
 
     def __enter__(self):
@@ -474,7 +474,7 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
+    def map(self, fn, items, chunksize=1):
         return [fn(x) for x in items]
 
 
@@ -484,7 +484,7 @@ def test_cli_contract_one_document(argv):
     out, err = io.StringIO(), io.StringIO()
     # --jobs > 1 runs its chunks in this process, so no worker pool starts;
     # an empty engine cache keeps the small sizes from reusing a big engine
-    with mock.patch("multiprocessing.Pool", _SerialPool), \
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", _SerialPool), \
             mock.patch.dict("dejean.constructions._Z4_CACHE", clear=True), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

@@ -10,6 +10,7 @@ enumeration is also used where it is provably complete (short lengths).
 
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,6 +21,7 @@ from dejean.constructions import (
     G_RULE,
     Z4Language,
     _factors_of_length,
+    _windows,
     alpha_prefix,
     beta_prefix,
     free_positions,
@@ -110,6 +112,15 @@ def fixpoint_index(max_len, level_words):
         for i in range(len(p) - max_len + 1)
     }
     return tuple(sorted(index)), tuple(sorted(windows))
+
+
+def string_index(engine):
+    """The engine's index as it was built before packing: the distinct
+    windows of cutoff length of the branch words of its windows and of its
+    level words, as sorted strings."""
+    branch_words = itertools.chain.from_iterable(map(g_expand, engine.windows))
+    words = itertools.chain(branch_words, engine.level_words)
+    return tuple(sorted(_windows(words, engine.max_factor_length)))
 
 
 class JoinedPiecesOracle:
@@ -386,15 +397,73 @@ def test_engine_matches_certified_oracle():
 @pytest.mark.parametrize("cutoff", [*range(1, 61), 66, 80, 100])
 def test_length_recursion_matches_window_fixpoint(cutoff):
     eng = Z4Language(cutoff)
-    assert (eng.sorted_factors, eng.windows) == fixpoint_index(cutoff, eng.level_words)
+    want = fixpoint_index(cutoff, eng.level_words)
+    assert (tuple(eng.factors(cutoff)), eng.windows) == want
     oracle = oracle_factors_upto(cutoff, lengths=[cutoff])
-    assert set(eng.sorted_factors) == oracle[cutoff]
+    assert set(eng.factors(cutoff)) == oracle[cutoff]
 
 
 def test_session_engine_matches_window_fixpoint(engine157):
     want = fixpoint_index(157, engine157.level_words)
-    assert (engine157.sorted_factors, engine157.windows) == want
-    assert (len(engine157.sorted_factors), len(engine157.windows)) == (68032, 1209)
+    assert (tuple(engine157.factors(157)), engine157.windows) == want
+    assert (len(engine157.factors(157)), len(engine157.windows)) == (68032, 1209)
+
+
+def check_packed_index(eng):
+    strings = string_index(eng)
+    index = eng.index
+    assert all(type(v) is int for v in index)
+    assert list(index) == sorted(set(index))
+    assert tuple(format(v, f"0{eng.max_factor_length}x") for v in index) == strings
+    assert tuple(eng.factor(i) for i in range(len(index))) == strings
+    assert all(int(eng.factor(i), 16) == v for i, v in enumerate(index))
+    assert tuple(eng.factors(eng.max_factor_length)) == strings
+
+
+@pytest.mark.parametrize("cutoff", [*range(1, 61), 66, 80, 100])
+def test_packed_index_matches_string_build(cutoff):
+    check_packed_index(Z4Language(cutoff))
+
+
+def test_packed_index_matches_string_build_on_session_engine(engine157):
+    check_packed_index(engine157)
+
+
+def test_packed_index_size(engine157):
+    """One int per cutoff-length factor: about 7.9 MB at cutoff 157, where
+    the same factors as strings take about 14.6 MB."""
+    index = engine157.index
+    assert len(index) == 68032
+    size = sys.getsizeof(index) + sum(map(sys.getsizeof, index))
+    assert size < 9_000_000, size
+
+
+def test_is_factor_probes_outside_the_alphabet():
+    """The letters 0 and 5-9 are hex digits that no factor holds, and the
+    hex-only spellings int(s, 16) would also accept stay errors."""
+    for cutoff in (1, 12, 66):
+        eng = Z4Language(cutoff)
+        oracle = set(string_index(eng))
+        rng = random.Random(cutoff)
+        for _ in range(300):
+            ln = rng.randint(1, cutoff)
+            w = rng.choice(eng.factors(ln))
+            i = rng.randrange(ln)
+            for c in "056789":
+                probe = w[:i] + c + w[i + 1 :]
+                assert not eng.is_factor(probe), probe
+                assert not eng.is_factor(tuple(map(int, probe))), probe
+            assert eng.is_factor(w) == any(s.startswith(w) for s in oracle)
+        assert not eng.is_factor("0")
+        assert not eng.is_factor("0" * cutoff)
+    eng = Z4Language(12)
+    for bad in ("12a", "a", "1f", "0x1", "1_2", " 1", "1 ", "+1", "-1", "A"):
+        with pytest.raises(ValueError):
+            eng.is_factor(bad)
+    # raw letters that spell no digit are no factor, as before packing
+    assert eng.is_factor((1,))
+    assert not eng.is_factor((-1,))
+    assert not eng.is_factor((1, -1))
 
 
 def test_factors_of_length_matches_index():
@@ -499,8 +568,8 @@ def test_prefix_index_matches_joined_pieces(cutoff, request):
     else:
         eng, lengths = Z4Language(cutoff), range(1, cutoff + 1)
     oracle = JoinedPiecesOracle(eng)
-    index = eng.sorted_factors
-    assert list(index) == sorted(set(index))
+    index = eng.factors(cutoff)
+    assert index == sorted(set(index))
     assert all(len(p) == cutoff for p in index)
     rng = random.Random(cutoff)
     for ln in lengths:

@@ -7,7 +7,12 @@ worker processes.
 """
 
 import copy
+import os
 import pickle
+import signal
+import subprocess
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -106,6 +111,55 @@ def test_parallel_map_carries_records():
     assert pickle.loads(pickle.dumps(records)) == records
     assert parallel_map(identity, records, 2) == parallel_map(identity, records, 1)
     assert parallel_map(identity, records, 2) == records
+
+
+UNPICKLABLE_TASK = """
+import sys
+sys.path.insert(0, {src!r})
+from dejean._util import parallel_map
+
+
+class Frozen:
+    # pickles its slot, but unpickling sets it through __setattr__, which
+    # refuses, so a worker fails to read its task
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        object.__setattr__(self, "x", x)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(name)
+
+
+def identity(v):
+    return v
+
+
+if __name__ == "__main__":
+    try:
+        parallel_map(identity, [Frozen(1), Frozen(2)], 2)
+    except Exception as exc:
+        print(type(exc).__name__)
+    else:
+        print("returned")
+"""
+
+
+def test_parallel_map_raises_when_a_worker_cannot_unpickle_its_task(tmp_path):
+    """Run in a child process with a timeout: a pool that loses the task
+    hangs, and the timeout turns that into a failure."""
+    script = tmp_path / "unpicklable_task.py"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script.write_text(UNPICKLABLE_TASK.format(src=src))
+    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        out, _ = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("parallel_map hung on a task its workers cannot unpickle")
+    assert out.split() == ["BrokenProcessPool"]
 
 
 def test_equality_follows_class_and_fields(case):

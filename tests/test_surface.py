@@ -92,7 +92,9 @@ def f():
 
 
 # standard-library modules that only some calls need
-DEFERRED_STDLIB = ("multiprocessing", "json", "dataclasses", "inspect", "pathlib")
+DEFERRED_STDLIB = (
+    "multiprocessing", "concurrent.futures", "json", "dataclasses", "inspect", "pathlib",
+)
 
 
 def modules_after(statement):

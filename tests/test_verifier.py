@@ -219,6 +219,12 @@ def test_prefix_walk_matches_all_starts_scan(strings, cap):
     assert walked == scanned
 
 
+def walk_strings(strings):
+    """_walk_kernel_candidates on strings over the letters 1-9, packed as
+    the engine packs its factors."""
+    return _walk_kernel_candidates([int(s or "0", 16) for s in strings])
+
+
 def cut_walk(strings, walk, cap):
     """The block walk of the strings cut to cap, in the form of the
     oracle's (s[:q], q, lmax)."""
@@ -238,7 +244,7 @@ def oracle_walk(strings, cap):
 def test_block_walk_matches_letter_walk(strings, cap):
     # mixed lengths, some longer than the cap
     suffixes = sorted(w[i:] for w in strings for i in range(len(w)))
-    walked = cut_walk(suffixes, _walk_kernel_candidates(suffixes), cap)
+    walked = cut_walk(suffixes, walk_strings(suffixes), cap)
     assert walked == oracle_walk(suffixes, cap)
     assert walked == {
         (w[i : i + q], q, lmax)
@@ -248,7 +254,7 @@ def test_block_walk_matches_letter_walk(strings, cap):
     # uncut, the two walks visit the same strings in the same order
     width = max(map(len, suffixes), default=0)
     assert [
-        (suffixes[i], q, e) for i, q, e in _walk_kernel_candidates(suffixes)
+        (suffixes[i], q, e) for i, q, e in walk_strings(suffixes)
     ] == list(_prefix_candidates(suffixes, width))
 
 
@@ -262,7 +268,7 @@ def test_block_delta_addition_matches_kernel_signatures(s):
         sig = ((sig & _LOW) + (d & _LOW)) ^ ((sig ^ d) & _HIGH)
         assert sig == want[j], j
     # the walk of one string reads its signature at every multiple of 4
-    assert [q for _, q, _ in _walk_kernel_candidates([s])] == [
+    assert [q for _, q, _ in walk_strings([s])] == [
         q for q in range(4, len(s) + 1, 4) if want[q] == 0
     ]
 
@@ -351,13 +357,16 @@ def test_elimination_tiny_cutoff_clean():
 def injected(engine, extra, max_length):
     """A stand-in engine whose sorted factors are the real engine's plus
     every suffix of the injected strings, so each factor of those is walked;
-    a sorted walk over the merged list yields the union of walking each."""
+    a sorted walk over the merged list yields the union of walking each.
+    It keeps them as strings: the checks read only the index's length and
+    factor(i)."""
     suffixes = [p[i:] for p in extra for i in range(len(p))]
-    strings = sorted([*engine.sorted_factors, *suffixes])
+    strings = sorted([*engine.factors(engine.max_factor_length), *suffixes])
     return SimpleNamespace(
         max_factor_length=max_length,
-        sorted_factors=strings,
-        kernel_candidates=_walk_kernel_candidates(strings),
+        index=strings,
+        factor=strings.__getitem__,
+        kernel_candidates=walk_strings(strings),
     )
 
 
@@ -388,7 +397,7 @@ def test_elimination_injection_matches_all_starts_scan(extra, max_length):
     got = [(v["word"], v["kernel_period"], v["length"], v["order"])
            for v in rep.payload["violations"]]
     assert got == sorted(set(want))
-    assert rep.payload["pieces_scanned"] == len(engine.sorted_factors)
+    assert rep.payload["pieces_scanned"] == len(engine.index)
 
 
 # ---------------------------------------------------------------- W set
@@ -435,7 +444,7 @@ def test_w_bound_filter_semantics():
 class LevelwiseEngine:
     """Alternative factor enumeration: iterate the window map level by level
     until two consecutive window sets agree, then serve the same interface as
-    the worklist engine."""
+    the worklist engine, with its index kept as strings."""
 
     def __init__(self, max_factor_length):
         self.max_factor_length = L = max_factor_length
@@ -462,8 +471,9 @@ class LevelwiseEngine:
                 break
             windows = new_windows
         self.pieces = frozenset(pieces)
-        self.sorted_factors = tuple(sorted(p for p in pieces if len(p) == L))
-        self.kernel_candidates = _walk_kernel_candidates(self.sorted_factors)
+        self.index = tuple(sorted(p for p in pieces if len(p) == L))
+        self.factor = self.index.__getitem__
+        self.kernel_candidates = walk_strings(self.index)
         self._haystack = "#".join(sorted(pieces))
 
     def is_factor(self, w):
@@ -541,7 +551,7 @@ def test_walk_matches_sorted_windows(cutoff, request):
     if cutoff == 157:
         assert len(windows) == 68032
     win = engine.window_length
-    walked = list(engine.sorted_factors)
+    walked = engine.factors(cutoff)
     assert walked == windows
     for cap in sorted({1, 2, 7, win - 1, win, win + 1, cutoff - 2, cutoff}):
         want = distinct(w[:cap] for w in windows)
@@ -556,7 +566,7 @@ def test_small_cap_walks_factors_of_cap_length(engine157):
     pieces = sorted(engine157.pieces)
     prefixes = {w[:win] for w in _sorted_windows(pieces, engine157.max_factor_length)}
     for cap in (1, 2, 7, win - 1, win):
-        walked = distinct(s[:cap] for s in engine157.sorted_factors)
+        walked = distinct(s[:cap] for s in engine157.factors(157))
         assert walked == sorted({w[:cap] for w in prefixes})
         assert walked == engine157.factors(cap)
 
@@ -564,7 +574,7 @@ def test_small_cap_walks_factors_of_cap_length(engine157):
 @pytest.mark.parametrize("cutoff", [20, 66, 100, 157])
 def test_engine_walk_cut_matches_letter_walk(cutoff, request):
     engine = request.getfixturevalue("engine157") if cutoff == 157 else Z4Language(cutoff)
-    strings = engine.sorted_factors
+    strings = engine.factors(cutoff)
     assert [(strings[i], q, e) for i, q, e in engine.kernel_candidates] == list(
         _prefix_candidates(strings, cutoff)
     )
@@ -577,7 +587,7 @@ def test_engine_walk_cut_matches_letter_walk(cutoff, request):
 
 def test_engine_walk_distinct_candidates(engine157):
     counts = {
-        cap: len(cut_walk(engine157.sorted_factors, engine157.kernel_candidates, cap))
+        cap: len(cut_walk(engine157.factors(157), engine157.kernel_candidates, cap))
         for cap in (60, 100, 130, 155)
     }
     assert counts == {60: 0, 100: 1540, 130: 2556, 155: 4604}
