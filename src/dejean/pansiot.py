@@ -6,7 +6,14 @@ letter 1 applies the full cycle (1 2 ... n).  Permutations act on the right,
 so phi(uv) applies phi(u) first.  The decoding gamma(u) records, after each
 prefix, which point the prefix permutation sends to 1.
 
-Permutations are tuples: perm[i] is the image of point i+1, values in 1..n.
+The walk is kept as inverses.  For the permutation P_j of the length-j
+prefix, Q_j[c-1] is the point that P_j sends to c, stored as `bytes` when
+n <= 255 and as a tuple above that.  Letter 1 rotates all of Q right by one
+place and letter 0 rotates its first n-1 entries, so each step is two or
+three slices.  Letter j of gamma(u) is Q_j[0], and since the factor between
+positions i < j has permutation P_i^-1 P_j, it fixes c exactly when
+Q_i[c-1] == Q_j[c-1]: the factor fixes 1..k exactly when Q_i and Q_j share
+their first k entries, and it is the identity exactly when Q_i == Q_j.
 
 A factor v of u is a kernel repetition of order n if it has a period p, some
 length-p factor of v maps to the identity, and (n-1)|v| > np - (n-1)^2
@@ -16,7 +23,9 @@ k-stabilizing if phi(v) fixes every point in 1..k.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from collections import deque
+from itertools import islice
+from typing import Iterator, Optional, Sequence, Union
 
 from .core_words import (
     RepetitionReport,
@@ -27,7 +36,6 @@ from .core_words import (
     parse_binary,
 )
 
-Perm = tuple[int, ...]
 BinaryLike = Union[Word, str, tuple[int, ...]]
 
 
@@ -45,50 +53,30 @@ def as_binary_letters(u: BinaryLike) -> tuple[int, ...]:
     return letters
 
 
-def identity(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Right-action product: apply p first, then q."""
-    return tuple(q[a - 1] for a in p)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for i, a in enumerate(p):
-        inv[a - 1] = i + 1
-    return tuple(inv)
-
-
-def phi_letter(n: int, letter: int) -> Perm:
-    """Image of one binary letter: 1 (ascii 0) -> (1..n-1) fixing n, 2 -> (1..n)."""
+def _code_letters(n: int, u: BinaryLike) -> tuple[int, ...]:
+    """The letters of u as a code word for S_n, checking n before the word."""
     if n < 2:
         raise ValueError("encoding needs n >= 2")
-    if letter == 1:
-        return tuple(list(range(2, n)) + [1, n])
-    if letter == 2:
-        return tuple(list(range(2, n + 1)) + [1])
-    raise ValueError(f"not a binary letter: {letter}")
+    return as_binary_letters(u)
 
 
-def prefix_permutations(n: int, u: BinaryLike) -> list[Perm]:
-    """P[0..|u|] with P[j] the permutation of the length-j prefix."""
-    out = [identity(n)]
-    for a in as_binary_letters(u):
-        out.append(compose(out[-1], phi_letter(n, a)))
-    return out
+def _inverse_prefixes(n: int, letters: tuple[int, ...]) -> Iterator[Sequence[int]]:
+    """Q_0, ..., Q_|letters|, the inverses of the prefix permutations."""
+    q = bytes(range(1, n + 1)) if n <= 255 else tuple(range(1, n + 1))
+    yield q
+    for a in letters:
+        if a == 2:
+            q = q[-1:] + q[:-1]
+        else:
+            q = q[n - 2 : n - 1] + q[: n - 2] + q[n - 1 :]
+        yield q
 
 
 def gamma(n: int, u: BinaryLike) -> Word:
     """Decode u into a word over {1..n}: letter i is the preimage of 1 under
     the length-i prefix permutation."""
-    perm = identity(n)
-    out = []
-    for a in as_binary_letters(u):
-        perm = compose(perm, phi_letter(n, a))
-        out.append(perm.index(1) + 1)
-    return Word(tuple(out), n)
+    qs = _inverse_prefixes(n, _code_letters(n, u))
+    return Word(tuple(q[0] for q in islice(qs, 1, None)), n)
 
 
 def _stabilizing_report(letters: tuple[int, ...], start0: int, length: int, k: int) -> RepetitionReport:
@@ -103,43 +91,41 @@ def _stabilizing_report(letters: tuple[int, ...], start0: int, length: int, k: i
     )
 
 
-def _leading_fixed_count(pj: Perm, inv_i: Perm, n: int) -> int:
-    """Leading fixed points of the factor permutation between prefix perms
-    P[i] and P[j]: the factor fixes c iff P[j] maps the preimage of c under
-    P[i] back to c."""
-    c = 1
-    while c <= n and pj[inv_i[c - 1] - 1] == c:
-        c += 1
-    return c - 1
-
-
 def find_stabilizing_violation(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
     """Leftmost-then-shortest factor v that is k-stabilizing with
-    0 < |v| < k(n-1) for some 1 <= k <= n-1."""
-    letters = as_binary_letters(u)
-    L = len(letters)
-    P = prefix_permutations(n, letters)
-    window = (n - 1) * (n - 1) - 1  # |v| < k(n-1) <= (n-1)^2
-    for i in range(L):
-        inv_i = inverse(P[i])
-        for j in range(i + 1, min(i + window, L) + 1):
-            fixed = min(_leading_fixed_count(P[j], inv_i, n), n - 1)
-            if fixed >= 1 and (j - i) < fixed * (n - 1):
-                return _stabilizing_report(letters, i, j - i, fixed)
+    0 < |v| < k(n-1) for some 1 <= k <= n-1.
+
+    Such a factor is shorter than (n-1)^2, so only the inverses of the next
+    (n-1)^2 - 1 prefixes are held; a factor of length d qualifies exactly
+    when its inverses share their first d // (n-1) + 1 entries.
+    """
+    letters = _code_letters(n, u)
+    m = n - 1
+    qs = _inverse_prefixes(n, letters)
+    ahead = deque(islice(qs, m * m))  # Q_i and the m*m - 1 after it
+    for i in range(len(letters)):
+        qi = ahead.popleft()
+        for d, qj in enumerate(ahead, 1):
+            k = d // m + 1
+            if qi[:k] == qj[:k]:
+                # the factor fixes 1..fixed; fixing n - 1 points, it fixes all
+                fixed = next((c for c in range(k, m) if qi[c] != qj[c]), m)
+                return _stabilizing_report(letters, i, d, fixed)
+        ahead.extend(islice(qs, 1))
     return None
 
 
 def find_kernel_repetition(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
     """Leftmost-then-shortest kernel repetition of order n in u.
 
-    Identity factors appear as pairs of equal prefix permutations; each pair
+    Identity factors appear as pairs of equal prefix inverses; each pair
     (t, t+p) is extended to the maximal run with period p around it, then the
     length constraint is applied.
     """
-    letters = as_binary_letters(u)
+    letters = _code_letters(n, u)
     L = len(letters)
     best = None  # (start0, length, p)
-    for t, j in equal_signature_pairs(prefix_permutations(n, letters)):
+    for t, j in equal_signature_pairs(_inverse_prefixes(n, letters)):
         p = j - t
         # maximal run of letters[x] == letters[x+p] around [t, t+p)
         a = t
@@ -178,16 +164,16 @@ def scan_prop32(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
 def shortest_k_stabilizing_factor(
     n: int, u: BinaryLike, k: int, max_length: Optional[int] = None
 ) -> Optional[RepetitionReport]:
-    """Shortest (then leftmost) k-stabilizing factor, optionally length-bounded."""
+    """Shortest (then leftmost) k-stabilizing factor, optionally length-bounded:
+    the shortest distance between two prefix inverses with equal k-prefixes."""
+    letters = _code_letters(n, u)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be within 1..{n - 1}")
-    letters = as_binary_letters(u)
+    heads = [q[:k] for q in _inverse_prefixes(n, letters)]
     L = len(letters)
-    P = prefix_permutations(n, letters)
-    inverses = [inverse(perm) for perm in P]
     top = L if max_length is None else min(L, max_length)
     for length in range(1, top + 1):
-        for i in range(L - length + 1):
-            if _leading_fixed_count(P[i + length], inverses[i], n) >= k:
+        for i, (a, b) in enumerate(zip(heads, islice(heads, length, None))):
+            if a == b:
                 return _stabilizing_report(letters, i, length, k)
     return None

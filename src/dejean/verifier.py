@@ -4,7 +4,7 @@ The heavy searches all reduce to one primitive, kernel_signatures and
 equal_signature_pairs in core_words: two equal prefix signatures (letter
 counts mod 4) mark a kernel factor, whose period run is then extended.  The
 carpi scanner and check_lemma6 take every signature-equal pair, as the
-pansiot scanner does with prefix permutations for signatures.  The W set
+pansiot scanner does with the inverse prefix permutations.  The W set
 and short elimination take the prefixes s[:q] of signature 0, so s[:q] is a
 kernel word and q a kernel period of every prefix of s on which the period
 holds.  Every factor of the language extends to the right, so each factor

@@ -97,6 +97,51 @@ def test_scan_pansiot_clean_and_dirty(capsys):
     assert doc["payload"]["report"]["kind"] == "stabilizing"
 
 
+
+def _pansiot_doc(command, status, payload):
+    return json.dumps({"command": command, "payload": payload, "schema": 1, "status": status},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def _code_error(command):
+    return _pansiot_doc(command, "fail", {"error": "encoding needs n >= 2"})
+
+
+# the printed bytes and exit code of gamma and scan-pansiot: the README
+# examples, the smallest order, the tuple walk above 255, and n < 2
+PANSIOT_DOCUMENTS = [
+    (["gamma", "--n", "5", "--binary", "0101"], 0, _pansiot_doc(
+        "gamma", "info", {"binary": "0101", "length": 4, "n": 5, "word": "4523"})),
+    (["scan-pansiot", "--n", "5", "--binary", "00000"], 1, _pansiot_doc(
+        "scan-pansiot", "fail", {"binary": "00000", "clean": False, "n": 5, "report": {
+            "exponent": "4/1", "k": 4, "kind": "stabilizing", "length": 4, "period": 1,
+            "start": 1}})),
+    (["gamma", "--n", "2", "--binary", "00"], 0, _pansiot_doc(
+        "gamma", "info", {"binary": "00", "length": 2, "n": 2, "word": "11"})),
+    (["scan-pansiot", "--n", "2", "--binary", "00"], 1, _pansiot_doc(
+        "scan-pansiot", "fail", {"binary": "00", "clean": False, "n": 2, "report": {
+            "exponent": "2/1", "kind": "kernel", "length": 2, "period": 1, "start": 1}})),
+    (["gamma", "--n", "256", "--binary", "1"], 0, _pansiot_doc(
+        "gamma", "info", {"binary": "1", "length": 1, "n": 256, "word": "256"})),
+    (["scan-pansiot", "--n", "256", "--binary", "1"], 0, _pansiot_doc(
+        "scan-pansiot", "pass", {"binary": "1", "clean": True, "n": 256})),
+    (["gamma", "--n", "300", "--binary", "0110"], 0, _pansiot_doc(
+        "gamma", "info", {"binary": "0110", "length": 4, "n": 300,
+                          "word": "299,300,298,296"})),
+    (["scan-pansiot", "--n", "300", "--binary", "0110"], 0, _pansiot_doc(
+        "scan-pansiot", "pass", {"binary": "0110", "clean": True, "n": 300})),
+    (["gamma", "--n", "1", "--binary", ""], 1, _code_error("gamma")),
+    (["gamma", "--n", "0", "--binary", ""], 1, _code_error("gamma")),
+    (["scan-pansiot", "--n", "0", "--binary", ""], 1, _code_error("scan-pansiot")),
+    (["scan-pansiot", "--n", "1", "--binary", ""], 1, _code_error("scan-pansiot")),
+]
+
+
+@pytest.mark.parametrize("argv, code, out", PANSIOT_DOCUMENTS,
+                         ids=[" ".join(a) for a, _, _ in PANSIOT_DOCUMENTS])
+def test_pansiot_documents_are_pinned(capsys, argv, code, out):
+    assert run_cli(capsys, *argv) == (code, out)
+
 def test_gen_beta(capsys):
     code, doc = run_doc(capsys, "gen", "beta", "--k", "12")
     assert code == 0

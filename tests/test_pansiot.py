@@ -1,26 +1,60 @@
 import itertools
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dejean.core_words import ReportKind
+from dejean.core_words import ReportKind, equal_signature_pairs, minimal_period
 from dejean.pansiot import (
+    _inverse_prefixes,
     as_binary_letters,
-    compose,
     find_kernel_repetition,
     find_stabilizing_violation,
     gamma,
-    identity,
-    inverse,
-    phi_letter,
-    prefix_permutations,
     scan_prop32,
     shortest_k_stabilizing_factor,
 )
 
 # ---------------------------------------------------------------- oracle
+# Permutations are tuples: perm[i] is the image of point i+1, values in 1..n.
+
+
+def identity(n):
+    return tuple(range(1, n + 1))
+
+
+def compose(p, q):
+    """Right-action product: apply p first, then q."""
+    return tuple(q[a - 1] for a in p)
+
+
+def inverse(p):
+    inv = [0] * len(p)
+    for i, a in enumerate(p):
+        inv[a - 1] = i + 1
+    return tuple(inv)
+
+
+def phi_letter(n, letter):
+    """Image of one binary letter: 1 (ascii 0) -> (1..n-1) fixing n, 2 -> (1..n)."""
+    if n < 2:
+        raise ValueError("encoding needs n >= 2")
+    if letter == 1:
+        return tuple(list(range(2, n)) + [1, n])
+    if letter == 2:
+        return tuple(list(range(2, n + 1)) + [1])
+    raise ValueError(f"not a binary letter: {letter}")
+
+
+def prefix_permutations(n, u):
+    """P[0..|u|] with P[j] the permutation of the length-j prefix."""
+    out = [identity(n)]
+    for a in as_binary_letters(u):
+        out.append(compose(out[-1], phi_letter(n, a)))
+    return out
 
 
 def phi(n, u):
@@ -72,6 +106,106 @@ def oracle_scan(n, u, condition):
                     ):
                         return (start + 1, length, p)
     return None
+
+
+# Scans over tuple permutations, the reference for the library's walk over
+# inverse prefixes.  Each returns what the library reports, as a plain tuple.
+
+
+def tuple_gamma(n, u):
+    perm = identity(n)
+    out = []
+    for a in as_binary_letters(u):
+        perm = compose(perm, phi_letter(n, a))
+        out.append(perm.index(1) + 1)
+    return tuple(out)
+
+
+def leading_fixed_count(pj, inv_i, n):
+    """Leading fixed points of the factor permutation between prefix perms
+    P[i] and P[j]: the factor fixes c iff P[j] maps the preimage of c under
+    P[i] back to c."""
+    c = 1
+    while c <= n and pj[inv_i[c - 1] - 1] == c:
+        c += 1
+    return c - 1
+
+
+def stabilizing_tuple(letters, start0, length, k):
+    f = letters[start0 : start0 + length]
+    return ("stabilizing", start0 + 1, length, minimal_period(f), k)
+
+
+def tuple_stabilizing(n, u):
+    letters = as_binary_letters(u)
+    L = len(letters)
+    P = prefix_permutations(n, letters)
+    window = (n - 1) * (n - 1) - 1
+    for i in range(L):
+        inv_i = inverse(P[i])
+        for j in range(i + 1, min(i + window, L) + 1):
+            fixed = min(leading_fixed_count(P[j], inv_i, n), n - 1)
+            if fixed >= 1 and (j - i) < fixed * (n - 1):
+                return stabilizing_tuple(letters, i, j - i, fixed)
+    return None
+
+
+def tuple_kernel(n, u):
+    letters = as_binary_letters(u)
+    L = len(letters)
+    best = None
+    for t, j in equal_signature_pairs(prefix_permutations(n, letters)):
+        p = j - t
+        a = t
+        while a > 0 and letters[a - 1] == letters[a - 1 + p]:
+            a -= 1
+        e = t
+        while e + p < L and letters[e] == letters[e + p]:
+            e += 1
+        lmin = max(p, (n * p - (n - 1) * (n - 1)) // (n - 1) + 1)
+        if lmin > e + p - a:
+            continue
+        cand = (a, max(lmin, j - a), p)
+        if best is None or cand < best:
+            best = cand
+    if best is None:
+        return None
+    a, length, p = best
+    return ("kernel", a + 1, length, p, None)
+
+
+def tuple_scan_prop32(n, u):
+    rep = tuple_stabilizing(n, u)
+    return rep if rep is not None else tuple_kernel(n, u)
+
+
+def tuple_shortest_k(n, u, k, max_length=None):
+    letters = as_binary_letters(u)
+    L = len(letters)
+    P = prefix_permutations(n, letters)
+    inverses = [inverse(perm) for perm in P]
+    top = L if max_length is None else min(L, max_length)
+    for length in range(1, top + 1):
+        for i in range(L - length + 1):
+            if leading_fixed_count(P[i + length], inverses[i], n) >= k:
+                return stabilizing_tuple(letters, i, length, k)
+    return None
+
+
+def as_tuple(rep):
+    if rep is None:
+        return None
+    return (rep.kind.value, rep.start, rep.length, rep.period, rep.k)
+
+
+def assert_matches_tuple_oracles(n, u, k, max_length):
+    assert gamma(n, u).letters == tuple_gamma(n, u)
+    assert as_tuple(find_stabilizing_violation(n, u)) == tuple_stabilizing(n, u)
+    assert as_tuple(find_kernel_repetition(n, u)) == tuple_kernel(n, u)
+    assert as_tuple(scan_prop32(n, u)) == tuple_scan_prop32(n, u)
+    assert as_tuple(shortest_k_stabilizing_factor(n, u, k, max_length)) == (
+        tuple_shortest_k(n, u, k, max_length)
+    )
 
 
 def binary_words(max_len):
@@ -255,3 +389,76 @@ def test_shortest_k_stabilizing_factor():
     assert (rep.start, rep.length, rep.k) == (6, 2, 2)
     assert shortest_k_stabilizing_factor(3, u, 2, max_length=1) is None
     assert shortest_k_stabilizing_factor(3, "01", 2) is None
+
+
+# ---------------------------------------------------------------- inverse walk
+
+
+def test_inverse_prefixes_invert_the_prefix_permutations():
+    for n in (2, 3, 7):
+        for u in binary_words(6):
+            qs = list(_inverse_prefixes(n, u))
+            assert [tuple(q) for q in qs] == [inverse(p) for p in prefix_permutations(n, u)]
+
+
+def test_inverse_prefixes_are_bytes_up_to_255_then_tuples():
+    u = (1, 2, 2, 1)
+    for n, kind in ((2, bytes), (255, bytes), (256, tuple), (300, tuple)):
+        qs = list(_inverse_prefixes(n, u))
+        assert all(type(q) is kind for q in qs)
+        assert [tuple(q) for q in qs] == [inverse(p) for p in prefix_permutations(n, u)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scans_agree_with_tuple_oracles(data):
+    n = data.draw(st.integers(2, 40))
+    u = data.draw(st.lists(st.integers(1, 2), max_size=80).map(tuple))
+    k = data.draw(st.integers(1, n - 1))
+    max_length = data.draw(st.none() | st.integers(0, 80))
+    assert_matches_tuple_oracles(n, u, k, max_length)
+
+
+@pytest.mark.parametrize("n", [255, 256, 300])
+def test_scans_agree_with_tuple_oracles_at_large_orders(n):
+    rng = random.Random(n)
+    noise = "".join(rng.choice("01") for _ in range(60))
+    for u in ("", "1", "0110", "0" * (n - 1), "1" * n, "10" + "0" * (n - 2), noise):
+        for k in (1, 2, n - 1):
+            assert_matches_tuple_oracles(n, u, k, None)
+    assert as_tuple(scan_prop32(n, "0" * (n - 1))) == ("stabilizing", 1, n - 1, 1, n - 1)
+    assert as_tuple(scan_prop32(n, "1" * n)) == ("stabilizing", 1, n, 1, n - 1)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_every_scan_checks_n_before_the_word(n):
+    calls = [
+        lambda u: gamma(n, u),
+        lambda u: scan_prop32(n, u),
+        lambda u: find_stabilizing_violation(n, u),
+        lambda u: find_kernel_repetition(n, u),
+        lambda u: shortest_k_stabilizing_factor(n, u, 1),
+    ]
+    for call in calls:
+        for u in ("", "0", "1101", (), "2"):
+            with pytest.raises(ValueError, match=r"^encoding needs n >= 2$"):
+                call(u)
+
+
+def test_scan_prop32_holds_only_a_window_of_prefixes():
+    # "11" + "0" * 26 + "1000" fixes 1, 2 and 3 under S_33 and nothing
+    # shorter from position 1 stabilizes; the tail is never reached.  A walk
+    # holding one tuple permutation per letter peaks at 9.4 MB on this word.
+    head = "11" + "0" * 26 + "1000"
+    rng = random.Random(33)
+    tail = "".join(rng.choice("01") for _ in range(30_000))
+    u = as_binary_letters(head + tail)
+    tracemalloc.start()
+    try:
+        rep = scan_prop32(33, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.kind, rep.start, rep.length, rep.period, rep.k) == (
+        ReportKind.STABILIZING, 1, 32, 32, 3)
+    assert peak < 1_000_000
