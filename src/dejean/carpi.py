@@ -25,8 +25,8 @@ from .core_words import (
     ReportKind,
     Word,
     WordLike,
-    equal_signature_pairs,
     find_forbidden_factor,
+    first_kernel_repetition,
     kernel_signatures,
     letters_of,
 )
@@ -74,8 +74,8 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     factor, and (n-1)(|v|+1) >= nq - 3.
 
     Any length-q window of a q-periodic word is an anagram of its length-q
-    prefix, so only prefixes are tested; candidate starts are exactly the
-    positions where the running letter-count signature (mod 4) recurs.
+    prefix, so core_words.first_kernel_repetition over the running letter
+    counts (mod 4) finds each repetition at the signature pair that starts it.
     Letters must lie in the source alphabet A_m from order 9 on, and be
     positive below it; any other letter raises ValueError.  Below order 9
     the letters are renamed to their ranks 1, 2, ... among the distinct
@@ -96,27 +96,9 @@ def find_psi_kernel_repetition(n: int, w: WordLike) -> Optional[RepetitionReport
     if n < 9:
         rank = {a: r for r, a in enumerate(sorted(set(letters)), 1)}
         letters = [rank[a] for a in letters]
-    L = len(letters)
-    best = None  # (start0, length, q)
-    for t, e in equal_signature_pairs(kernel_signatures(letters)):
-        q = e - t
-        while e < L and letters[e] == letters[e - q]:
-            e += 1
-        # the inequality holds for some length exactly when it holds for
-        # the whole run, so the shortest passing length is computed only then
-        if (n - 1) * (e - t + 1) < n * q - 3:
-            continue
-        cand = (t, min_psi_repetition_length(n, q), q)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    t, length, q = best
-    return RepetitionReport(
-        start=t + 1,
-        length=length,
-        period=q,
-        kind=ReportKind.PSI_KERNEL,
+    need = [min_psi_repetition_length(n, q) for q in range(len(letters) + 1)]
+    return first_kernel_repetition(
+        letters, kernel_signatures(letters), need, ReportKind.PSI_KERNEL
     )
 
 

@@ -109,7 +109,8 @@ def zm_count(k: int) -> int:
 
 
 def zm_enumerate(m: int, k: int, limit: Optional[int] = None) -> list[str]:
-    """Members of length k in lexicographic order, optionally truncated."""
+    """Members of length k in lexicographic order, optionally truncated;
+    more than 2^20 members (k >= 82) are listed only up to a limit."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be nonnegative")
     base = list(alpha_prefix(m, k))
@@ -117,6 +118,8 @@ def zm_enumerate(m: int, k: int, limit: Optional[int] = None) -> list[str]:
     total = 2 ** len(slots)
     if limit is not None:
         total = min(total, limit)
+    elif total > 2**20:
+        raise ValueError(f"length {k} has {total} members, too many without a limit")
     out = []
     for mask in range(total):
         for bit, j in enumerate(reversed(slots)):

@@ -180,6 +180,49 @@ def equal_signature_pairs(sigs: Iterable[Hashable]) -> Iterator[tuple[int, int]]
                 yield i, j
 
 
+def first_kernel_repetition(
+    letters: Sequence, sigs: Iterable[Hashable], need: Sequence[int], kind: ReportKind
+) -> Optional[RepetitionReport]:
+    """Leftmost, then shortest, factor letters[t : t + need[q]] with period q
+    whose first window is a kernel window, sigs[t] == sigs[t + q]; of two
+    periods with the same need, the smaller.  sigs holds the len(letters)+1
+    prefix signatures, and the caller keeps this contract:
+    - need[q] >= q, need is nondecreasing, and it is tabulated for every
+      q <= len(letters); so the first period that passes from a start gives
+      the shortest report there, and none fits past t + need[q] > L.
+    - sigs[i+1] is an injective function of sigs[i] for each letter.  Then,
+      inside a q-periodic stretch, every window is a kernel window exactly
+      when the first one is, so a repetition is found at its own start.
+    Kernel signatures meet it, and so do Pansiot's prefix inverses Q_j,
+    since each letter rotates Q by a fixed slice.
+
+    One pass links each position to the next one with an equal signature;
+    then each start follows its links in order.
+    """
+    L = len(letters)
+    nxt = array("i", [0]) * (L + 1)  # 0: no later equal signature
+    last: dict = {}
+    for i, sg in enumerate(sigs):
+        prev = last.get(sg)
+        if prev is not None:
+            nxt[prev] = i
+        last[sg] = i
+    for t in range(L):
+        j = nxt[t]
+        while j:
+            q = j - t
+            end = t + need[q]
+            if end > L:
+                break
+            e = j
+            while e < end and letters[e] == letters[e - q]:
+                e += 1
+            if e == end:
+                return RepetitionReport(start=t + 1, length=need[q], period=q, kind=kind)
+            j = nxt[j]
+    return None
+
+
 def repetition_threshold(n: int) -> Fraction:
     """Repetition threshold RT(n) for an n-letter alphabet."""
     if n < 2:

@@ -31,7 +31,7 @@ from .core_words import (
     RepetitionReport,
     ReportKind,
     Word,
-    equal_signature_pairs,
+    first_kernel_repetition,
     minimal_period,
     parse_binary,
 )
@@ -118,37 +118,15 @@ def find_stabilizing_violation(n: int, u: BinaryLike) -> Optional[RepetitionRepo
 def find_kernel_repetition(n: int, u: BinaryLike) -> Optional[RepetitionReport]:
     """Leftmost-then-shortest kernel repetition of order n in u.
 
-    Identity factors appear as pairs of equal prefix inverses; each pair
-    (t, t+p) is extended to the maximal run with period p around it, then the
-    length constraint is applied.
+    Identity factors lie between two equal prefix inverses, and each letter
+    rotates Q by a fixed slice, so core_words.first_kernel_repetition finds
+    each repetition at the pair of equal inverses that starts it.
     """
     letters = _code_letters(n, u)
-    L = len(letters)
-    best = None  # (start0, length, p)
-    for t, j in equal_signature_pairs(_inverse_prefixes(n, letters)):
-        p = j - t
-        # maximal run of letters[x] == letters[x+p] around [t, t+p)
-        a = t
-        while a > 0 and letters[a - 1] == letters[a - 1 + p]:
-            a -= 1
-        e = t
-        while e + p < L and letters[e] == letters[e + p]:
-            e += 1
-        max_len = e + p - a
-        lmin = max(p, (n * p - (n - 1) * (n - 1)) // (n - 1) + 1)
-        if lmin > max_len:
-            continue
-        cand = (a, max(lmin, j - a), p)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        return None
-    a, length, p = best
-    return RepetitionReport(
-        start=a + 1,
-        length=length,
-        period=p,
-        kind=ReportKind.KERNEL,
+    m = n - 1
+    need = [max(p, (n * p - m * m) // m + 1) for p in range(len(letters) + 1)]
+    return first_kernel_repetition(
+        letters, _inverse_prefixes(n, letters), need, ReportKind.KERNEL
     )
 
 

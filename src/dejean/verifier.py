@@ -1,10 +1,11 @@
 """Exhaustive and sampled checks over the source-word languages.
 
-The heavy searches all reduce to one primitive, kernel_signatures and
-equal_signature_pairs in core_words: two equal prefix signatures (letter
-counts mod 4) mark a kernel factor, whose period run is then extended.  The
-carpi scanner and check_lemma6 take every signature-equal pair, as the
-pansiot scanner does with the inverse prefix permutations.  The W set
+The heavy searches all rest on kernel_signatures in core_words: two equal
+prefix signatures (letter counts mod 4) mark a kernel factor.  The carpi
+scanner and binary_avoidance_longest take the leftmost, then shortest,
+repetition from core_words.first_kernel_repetition, as the pansiot scanner
+does over the inverse prefix permutations, and check_lemma6 counts every
+signature-equal pair from equal_signature_pairs.  The W set
 and short elimination take the prefixes s[:q] of signature 0, so s[:q] is a
 kernel word and q a kernel period of every prefix of s on which the period
 holds.  Every factor of the language extends to the right, so each factor
@@ -38,15 +39,16 @@ from .carpi import (
 )
 from .constructions import (
     Z4Language,
-    _int_sigs,
     g_expand,
     z4_language,
     zm_is_member,
     zm_samples,
 )
 from .core_words import (
+    ReportKind,
     WordLike,
     equal_signature_pairs,
+    first_kernel_repetition,
     kernel_signatures,
     letters_of,
 )
@@ -311,46 +313,36 @@ def binary_avoidance_longest(n: int = 26, depth_cap: int = 64) -> tuple[int, str
     """Depth-first search over {1, 2}* for the longest word with no factor
     that is a psi-kernel repetition at order n; returns (length, witness).
 
-    Reaching depth_cap without hitting a repetition raises, since the search
-    can no longer certify the language is finite.
+    Each child is scanned whole by core_words.first_kernel_repetition, not
+    by find_psi_kernel_repetition, whose source alphabet has one letter for
+    n = 9..14.  Reaching depth_cap without hitting a repetition raises,
+    since the search can no longer certify the language is finite.
     """
     if n < 9:
         raise ValueError("order must be at least 9")
     if depth_cap < 1:
         raise ValueError("depth_cap must be positive")
 
-    s: list[str] = []
-    sigs = [0]
+    need = [min_psi_repetition_length(n, q) for q in range(depth_cap + 1)]
+    kind = ReportKind.PSI_KERNEL
+    s: list[int] = []
     best = [0, ""]
-
-    def suffix_repetition() -> bool:
-        L = len(s)
-        for q in range(4, L + 1, 4):
-            r = 0
-            while r < L - q and s[L - 1 - r] == s[L - 1 - r - q]:
-                r += 1
-            lo = min_psi_repetition_length(n, q)
-            for ln in range(lo, q + r + 1):
-                if sigs[L - ln] == sigs[L - ln + q]:
-                    return True
-        return False
 
     def dfs() -> None:
         depth = len(s)
         if depth > best[0]:
-            best[0], best[1] = depth, "".join(s)
+            best[0], best[1] = depth, "".join(map(str, s))
         if depth >= depth_cap:
             raise RuntimeError(
                 f"clean word of length {depth_cap} found; raise the depth cap "
                 "or accept that the language may be infinite"
             )
-        for c in "12":
+        for c in (1, 2):
             s.append(c)
-            sigs.append(_int_sigs(c, sigs[-1])[1])
-            if not suffix_repetition():
+            # every proper prefix of s is clean, so a hit ends at its last letter
+            if first_kernel_repetition(s, kernel_signatures(s), need, kind) is None:
                 dfs()
             s.pop()
-            sigs.pop()
 
     dfs()
     return best[0], best[1]

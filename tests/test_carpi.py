@@ -2,7 +2,8 @@
 
 The scanning oracle here enumerates every factor and period directly from the
 definitions, with no signature tricks, and is the reference for the fast
-implementation.
+implementation.  A second oracle, the scan over every pair of equal
+signatures that the library used before, checks it on longer words.
 """
 
 import json
@@ -24,7 +25,13 @@ from dejean.carpi import (
     params,
     threshold_pipeline,
 )
-from dejean.core_words import ReportKind, parse_word
+from dejean.constructions import zm_samples
+from dejean.core_words import (
+    ReportKind,
+    equal_signature_pairs,
+    kernel_signatures,
+    parse_word,
+)
 from dejean.pansiot import gamma
 
 from test_verifier import kernel_periods
@@ -53,6 +60,23 @@ def oracle_scan(n, s):
                     cand = (start, length, q)
                     if best is None or cand < best:
                         best = cand
+    return best
+
+
+def pair_scan(n, letters):
+    """Leftmost-then-shortest (start, length, period) over every pair of
+    equal signatures, each extended to the end of its run of the period."""
+    L = len(letters)
+    best = None
+    for t, e in equal_signature_pairs(kernel_signatures(letters)):
+        q = e - t
+        while e < L and letters[e] == letters[e - q]:
+            e += 1
+        if (n - 1) * (e - t + 1) < n * q - 3:
+            continue
+        cand = (t, min_psi_repetition_length(n, q), q)
+        if best is None or cand < best:
+            best = cand
     return best
 
 
@@ -253,6 +277,34 @@ def test_planted_kernel_block_is_found(prefix, block):
     assert in_psi_kernel(window)
     seg = s[k : k + rep.length]
     assert all(seg[i] == seg[i + rep.period] for i in range(rep.length - rep.period))
+
+
+@st.composite
+def psi_cases(draw):
+    """(n, letters): a word over the source alphabet of order n (four letters
+    below order 9) with a block of period 4k planted in it, or a member of
+    Z_5 at an order whose alphabet holds five letters."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(33, 45))
+        length = draw(st.integers(0, 400))
+        return n, tuple(int(c) for c in zm_samples(5, length, 1, draw(st.integers(0, 99)))[0])
+    n = draw(st.integers(2, 45))
+    m = params(n).m if n >= 9 else 4
+    letter = st.integers(1, m)
+    part = st.lists(letter, max_size=40)
+    block = draw(st.lists(letter, min_size=4, max_size=4 * draw(st.integers(1, 6))))
+    block = block[: len(block) & ~3]
+    planted = block * draw(st.integers(0, 3)) + block[: draw(st.integers(0, len(block)))]
+    return n, tuple(draw(part) + planted + draw(part))
+
+
+@settings(max_examples=400, deadline=None)
+@given(psi_cases())
+def test_scan_agrees_with_pair_scan(case):
+    n, letters = case
+    rep = find_psi_kernel_repetition(n, letters)
+    got = None if rep is None else (rep.start - 1, rep.length, rep.period)
+    assert got == pair_scan(n, letters)
 
 
 # ---------------------------------------------------------------- tables

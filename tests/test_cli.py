@@ -173,6 +173,17 @@ def test_gen_zm_limit(capsys):
     assert words == sorted(words)
 
 
+def test_gen_zm_refuses_to_list_past_the_cap(capsys):
+    # 2^50 members at k = 200: one fail document, not an endless listing
+    code, doc = run_doc(capsys, "gen", "zm", "--m", "5", "--k", "200")
+    assert (code, doc["status"]) == (1, "fail")
+    assert "without a limit" in doc["payload"]["error"]
+    code, doc = run_doc(capsys, "gen", "zm", "--m", "5", "--k", "200", "--limit", "3")
+    assert code == 0
+    assert doc["payload"]["count"] == 3
+    assert all(zm_is_member(5, w) and len(w) == 200 for w in doc["payload"]["words"])
+
+
 def test_gen_z4(capsys):
     code, doc = run_doc(capsys, "gen", "z4", "--length", "3")
     assert code == 0

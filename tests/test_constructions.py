@@ -262,6 +262,10 @@ def test_zm_enumerate_limit():
     assert zm_enumerate(4, 16, limit=0) == []
     with pytest.raises(ValueError, match="limit must be nonnegative"):
         zm_enumerate(4, 16, limit=-1)
+    # k = 82 has 2^21 members: listed only up to a limit
+    with pytest.raises(ValueError, match="without a limit"):
+        zm_enumerate(4, 82)
+    assert len(zm_enumerate(4, 82, limit=2)) == 2
 
 
 def test_zm_count_frozen():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,9 +15,11 @@ from dejean.core_words import (
     _longest_repeat,
     _scan_sequence,
     find_forbidden_factor,
+    first_kernel_repetition,
     format_ratio,
     format_word,
     is_free,
+    kernel_signatures,
     letters_of,
     max_exponent,
     minimal_period,
@@ -28,6 +31,8 @@ from dejean.core_words import (
     suffix_violates,
     word,
 )
+from dejean.carpi import min_psi_repetition_length
+from dejean.pansiot import _inverse_prefixes
 
 # ---------------------------------------------------------------- oracles
 
@@ -434,3 +439,85 @@ def test_suffix_check_past_the_last_tabulated_period():
     last = (5, 1, 2, 3, 4, 5, 1, 2, 3, 4)  # 9 letters of period 5 end it
     assert oracle_suffix_violation(last, r, True)
     assert suffix_violates(last, table) and not suffix_violates(last, table[:-1])
+
+
+# ---------------------------------------------------------------- kernel repetitions
+
+
+def brute_kernel_repetition(letters, sigs, need):
+    """(start, length, period) of the first factor, by start, then length,
+    then period, that has the period, at least need[period] letters and a
+    kernel window sigs[i] == sigs[i + period] anywhere inside it."""
+    L = len(letters)
+    for t in range(L):
+        for length in range(1, L - t + 1):
+            for q in range(1, length + 1):
+                if length < need[q]:
+                    continue
+                if any(letters[i] != letters[i + q] for i in range(t, t + length - q)):
+                    continue
+                if any(sigs[i] == sigs[i + q] for i in range(t, t + length - q + 1)):
+                    return (t + 1, length, q)
+    return None
+
+
+@st.composite
+def need_tables(draw, size):
+    """need[0..size], nondecreasing with need[q] >= q."""
+    need = [0]
+    for q in range(1, size + 1):
+        need.append(max(q, need[-1] + draw(st.integers(0, 2))))
+    return need
+
+
+@st.composite
+def planted_words(draw, alphabet, max_size):
+    """A word with a block repeated in it, so that periodic runs are common."""
+    part = st.lists(st.sampled_from(alphabet), max_size=max_size // 3)
+    block = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=8))
+    reps = draw(st.integers(0, 4))
+    return tuple(draw(part) + block * reps + block[: draw(st.integers(0, 8))] + draw(part))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_kernel_repetition_matches_brute_force(data):
+    if data.draw(st.booleans()):
+        letters = data.draw(planted_words((1, 2, 3), 24))
+        sigs = kernel_signatures(letters)
+        kind = ReportKind.PSI_KERNEL
+    else:
+        n = data.draw(st.integers(2, 6))
+        letters = data.draw(planted_words((1, 2), 24))
+        sigs = list(_inverse_prefixes(n, letters))
+        kind = ReportKind.KERNEL
+    need = data.draw(need_tables(len(letters)))
+    rep = first_kernel_repetition(letters, sigs, need, kind)
+    got = None if rep is None else (rep.start, rep.length, rep.period)
+    assert got == brute_kernel_repetition(letters, sigs, need)
+    if rep is not None:
+        assert rep.kind is kind and rep.length == need[rep.period]
+
+
+class CountingLetters(tuple):
+    """A letter tuple that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_first_kernel_repetition_stops_at_the_first_start():
+    # at order 5 the kernel window 12121212 of period 8 breaks at the ninth
+    # letter, and 121212123333 with 12 after it repeats with period 12
+    rng = random.Random(19)
+    head = (1, 2) * 4 + (3,) * 4 + (1, 2)
+    letters = CountingLetters(head + tuple(rng.choice((1, 2, 3, 4)) for _ in range(19_986)))
+    sigs = kernel_signatures(letters)
+    need = [min_psi_repetition_length(5, q) for q in range(len(letters) + 1)]
+    assert (need[8], need[12]) == (9, 14)
+    rep = first_kernel_repetition(letters, sigs, need, ReportKind.PSI_KERNEL)
+    assert (rep.start, rep.length, rep.period) == (1, 14, 12)
+    assert letters.reads < 1_000

@@ -151,6 +151,8 @@ def tuple_stabilizing(n, u):
 
 
 def tuple_kernel(n, u):
+    """The pair scan over every two equal prefix permutations, each pair
+    extended to the whole run of its period on both sides."""
     letters = as_binary_letters(u)
     L = len(letters)
     best = None
@@ -419,6 +421,25 @@ def test_scans_agree_with_tuple_oracles(data):
     assert_matches_tuple_oracles(n, u, k, max_length)
 
 
+@st.composite
+def periodic_codes(draw):
+    """A binary word of up to 200 letters, half the time with a block
+    repeated in it."""
+    part = st.lists(st.integers(1, 2), max_size=100)
+    if draw(st.booleans()):
+        return tuple(draw(part) + draw(part))
+    block = draw(st.lists(st.integers(1, 2), min_size=1, max_size=40))
+    planted = (block * 5)[: draw(st.integers(0, 160))]
+    head = draw(st.lists(st.integers(1, 2), max_size=20))
+    return tuple(head + planted + draw(st.lists(st.integers(1, 2), max_size=20)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12), periodic_codes())
+def test_kernel_scan_agrees_with_pair_scan(n, u):
+    assert as_tuple(find_kernel_repetition(n, u)) == tuple_kernel(n, u)
+
+
 @pytest.mark.parametrize("n", [255, 256, 300])
 def test_scans_agree_with_tuple_oracles_at_large_orders(n):
     rng = random.Random(n)
@@ -462,3 +483,18 @@ def test_scan_prop32_holds_only_a_window_of_prefixes():
     assert (rep.kind, rep.start, rep.length, rep.period, rep.k) == (
         ReportKind.STABILIZING, 1, 32, 32, 3)
     assert peak < 1_000_000
+
+
+def test_kernel_scan_holds_one_link_per_prefix():
+    # a clean random word: the scan holds each distinct Q once and one link
+    # per prefix, where a position list per Q peaked at 7.7 MB
+    rng = random.Random(35)
+    u = tuple(rng.choice((1, 2)) for _ in range(35_000))
+    tracemalloc.start()
+    try:
+        rep = find_kernel_repetition(33, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep is None
+    assert peak < 7_000_000

@@ -125,3 +125,37 @@ def test_no_module_defers_its_names_or_uses_dataclasses():
         imported = {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
         imported |= {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
         assert "dataclasses" not in imported, path.name
+
+
+def unread_imports(tree):
+    """Names a module imports at top level, leaving out __future__, that it
+    never reads."""
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_import_is_read():
+    unread = {
+        path.stem: sorted(names)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "__init__"
+        and (names := unread_imports(ast.parse(path.read_text())))
+    }
+    assert not unread, f"imported but never read: {unread}"
+
+
+def test_the_import_guard_sees_unread_names():
+    source = """from __future__ import annotations
+import os.path
+from a import b, c as d
+import e
+def f(x: b) -> None:
+    return os.sep
+"""
+    assert unread_imports(ast.parse(source)) == {"d", "e"}

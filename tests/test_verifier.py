@@ -24,6 +24,7 @@ from dejean.carpi import (
     find_psi_kernel_repetition,
     in_psi_kernel,
     make_table,
+    min_psi_repetition_length,
 )
 from dejean.constructions import (
     _HIGH,
@@ -676,6 +677,49 @@ def test_ew_jobs_parity(w_set, engine157):
 
 
 # ---------------------------------------------------------------- binary DFS
+
+
+def suffix_dfs_longest(n, depth_cap=64):
+    """The incremental search binary_avoidance_longest replaced: each child
+    keeps its prefix signatures on a stack and tests only the repetitions
+    ending at its last letter, with periods a multiple of 4."""
+    s = []
+    sigs = [0]
+    best = [0, ""]
+
+    def suffix_repetition():
+        L = len(s)
+        for q in range(4, L + 1, 4):
+            r = 0
+            while r < L - q and s[L - 1 - r] == s[L - 1 - r - q]:
+                r += 1
+            lo = min_psi_repetition_length(n, q)
+            for ln in range(lo, q + r + 1):
+                if sigs[L - ln] == sigs[L - ln + q]:
+                    return True
+        return False
+
+    def dfs():
+        depth = len(s)
+        if depth > best[0]:
+            best[0], best[1] = depth, "".join(s)
+        if depth >= depth_cap:
+            raise RuntimeError("depth cap reached")
+        for c in "12":
+            s.append(c)
+            sigs.append(_int_sigs(c, sigs[-1])[1])
+            if not suffix_repetition():
+                dfs()
+            s.pop()
+            sigs.pop()
+
+    dfs()
+    return best[0], best[1]
+
+
+@pytest.mark.parametrize("n", range(9, 41))
+def test_binary_avoidance_matches_suffix_search(n):
+    assert binary_avoidance_longest(n) == suffix_dfs_longest(n)
 
 
 def test_binary_avoidance_result():
