@@ -5,6 +5,7 @@ subprocesses to pin byte-level determinism of the printed document.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -441,6 +442,25 @@ def test_jobs_flag_never_changes_bytes():
     b = _run_subprocess("verify", "ew", "--max-length", "80", "--jobs", "3")
     assert a.stdout == b.stdout
     assert a.returncode == b.returncode == 0
+
+
+# SHA-256 of `verify ew` stdout as printed when every branch word of each
+# context was scanned; scanning only the edge blocks must print the same
+EW_DIGESTS = {
+    "default": "41a9cf4e39133617359685be5edd04e6e931629187020059d9b2352ebe9c4ac7",
+    "20": "9d7d94523c39c5fa5165f9bd39a872ac9b340678952e756ff6d4e30b4a7a0f8e",
+    "80": "e7abed0c5f9fa2411872f3e1825f2513f01d740e0f209a046bb5feeeaddc1426",
+}
+
+
+@pytest.mark.parametrize("max_length", list(EW_DIGESTS))
+def test_verify_ew_bytes_pinned(capsys, max_length):
+    extra = [] if max_length == "default" else ["--max-length", max_length]
+    code, out = run_cli(capsys, "verify", "ew", *extra)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EW_DIGESTS[max_length]
+    if max_length == "default":
+        assert out.count("\n") == 1413
 
 
 def test_jobs_flag_never_changes_count_bytes():

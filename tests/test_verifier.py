@@ -4,6 +4,7 @@ White-box oracles here re-enumerate factors directly from definitions; the
 golden file pins the full 200-entry maximal-repetition set verbatim.
 """
 
+import functools
 import heapq
 import inspect
 import json
@@ -16,7 +17,7 @@ from typing import Iterable, Iterator
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dejean.carpi import (
@@ -43,7 +44,10 @@ from dejean.pansiot import shortest_k_stabilizing_factor
 from dejean.verifier import (
     MaximalKernelRepetition,
     VerificationReport,
+    _edge_branch_words,
+    _ew_single,
     _max_kernel_period_run,
+    _middle_blocks,
     _w_candidates,
     binary_avoidance_longest,
     check_lemma6,
@@ -674,6 +678,148 @@ def test_ew_jobs_parity(w_set, engine157):
     a = verify_Ew(sample, engine=engine157)
     b = verify_Ew(sample, engine=engine157, jobs=2)
     assert a.payload == b.payload
+
+
+def full_expansion_q(contexts, p):
+    """q_w as _ew_single found it before the edge blocks: the longest run of
+    kernel period 3p over every branch word of g(u), for every context u."""
+    return max(
+        (_max_kernel_period_run(bw, 3 * p) for u in contexts for bw in g_expand(u)),
+        default=0,
+    )
+
+
+def ew_q(contexts, p):
+    return _ew_single(("w", p, contexts))["q"]
+
+
+def test_ew_matches_full_expansion_on_w_set(w_set, engine157):
+    n_contexts = words = 0
+    for r in w_set:
+        contexts = [a + r.word + b for a in "1234" for b in "1234"]
+        contexts = [u for u in contexts if engine157.is_factor(u)]
+        p = r.kernel_period
+        assert ew_q(contexts, p) == full_expansion_q(contexts, p), r.word
+        n_contexts += len(contexts)
+        words += sum(1 for u in contexts for _ in _edge_branch_words(u, p))
+    assert (len(w_set), n_contexts, words) == (200, 216, 428)
+
+
+def test_edge_branch_words_are_branch_words():
+    for u, p in [("4123443", 4), ("44144", 2), ("4444", 8), ("14", 1), ("", 4)]:
+        words = list(_edge_branch_words(u, p))
+        assert len(words) == len(set(words))
+        assert set(words) <= set(g_expand(u))
+        lo, hi = _middle_blocks(len(u), p)
+        assert len(words) == 2 ** (u.count("4") - u[lo:hi].count("4"))
+
+
+def test_middle_blocks_bounds():
+    # L = 3m, P = 3p: the block of u[j] is middle when L - P <= 3j and
+    # 3j + 3 <= P
+    for m in range(0, 30):
+        for p in range(1, 35):
+            lo, hi = _middle_blocks(m, p)
+            want = [j for j in range(m) if 3 * m - 3 * p <= 3 * j and 3 * j + 3 <= 3 * p]
+            assert list(range(lo, hi)) == want, (m, p)
+            if m >= 2 * p:
+                assert lo == hi
+
+
+@functools.cache
+def engine66():
+    return Z4Language(66)
+
+
+@st.composite
+def language_contexts(draw):
+    """(a + x + b, p) with x a factor of the A_4 language of cutoff 66 and p
+    near |u| or far below it; at p = 4 and |u| >= 8 no block is middle."""
+    engine = engine66()
+    s = engine.factor(draw(st.integers(0, len(engine.index) - 1)))
+    start = draw(st.integers(0, 60))
+    x = s[start : start + draw(st.integers(0, 30))]
+    u = draw(st.sampled_from("1234")) + x + draw(st.sampled_from("1234"))
+    if draw(st.booleans()):
+        p = draw(st.integers(max(1, len(u) - 6), len(u) + 1))
+    else:
+        p = draw(st.sampled_from([4, 8, 12]))
+    assume(u.count("4") <= 10)
+    return u, p
+
+
+@st.composite
+def near_periodic_contexts(draw):
+    """(u, p) with u a word over 3 and 4 of period p (4 or 8), |u| between
+    p + 1 and 2p + 3, and up to two letters changed: long runs of period 3p
+    whose ends cut edge blocks, often enough that a wrong edge set shows."""
+    p = draw(st.sampled_from([4, 8]))
+    base = draw(st.text(alphabet="34", min_size=p, max_size=p))
+    m = draw(st.integers(p + 1, 2 * p + 3))
+    u = list((base * 3)[:m])
+    for j in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        u[j] = draw(st.sampled_from("1234"))
+    u = "".join(u)
+    assume(u.count("4") <= 10)
+    return u, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(language_contexts(), near_periodic_contexts()))
+def test_ew_matches_full_expansion_on_drawn_contexts(context):
+    u, p = context
+    assert ew_q([u], p) == full_expansion_q([u], p)
+
+
+# (u, p, q): words of period 4 or 8 on which some edge 4-block must take 213
+# for the longest run; the last two have 3|u| >= 6p, so no block is middle
+EDGE_PINS = [
+    ("3443334", 4, 12),
+    ("434443", 4, 12),
+    ("432422424", 8, 24),
+    ("334333433", 4, 12),
+    ("1113433111134331", 8, 24),
+]
+
+
+def test_ew_on_edge_pins():
+    for u, p, q in EDGE_PINS:
+        assert ew_q([u], p) == full_expansion_q([u], p) == q
+
+
+def widened(left, right):
+    """A wrong middle: one more block on the left or on the right."""
+
+    def middle(m, p):
+        lo, hi = _middle_blocks(m, p)
+        return max(lo - left, 0), min(hi + right, m)
+
+    return mock.patch.object(verifier, "_middle_blocks", middle)
+
+
+def one_4_fixed(pick):
+    """A wrong edge set: the first or last 4 of the head and of the tail
+    takes only its first image."""
+
+    def expand(w):
+        fours = [j for j, a in enumerate(w) if a == "4"]
+        if not fours:
+            return g_expand(w)
+        j = pick(fours)
+        return (x for x in g_expand(w) if x[3 * j] == "1")
+
+    return mock.patch.object(verifier, "g_expand", expand)
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [widened(1, 0), widened(0, 1), one_4_fixed(min), one_4_fixed(max)],
+    ids=["last-head-block", "first-tail-block", "first-4", "last-4"],
+)
+def test_ew_tests_catch_a_wrong_edge_set(mutant):
+    with mutant:
+        missed = [(u, p) for u, p, q in EDGE_PINS if ew_q([u], p) != q]
+    assert missed
 
 
 # ---------------------------------------------------------------- binary DFS
